@@ -46,7 +46,7 @@
 //!   global watermark still never overtakes any shard horizon.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -259,7 +259,11 @@ struct ShardRunner {
     /// Wideband samples enqueued to this shard so far (coordinator-side
     /// position for [`Chunk::start`]).
     pos: usize,
-    handle: JoinHandle<(Vec<GatewayPacket>, GatewaySnapshot)>,
+    /// Set when the cluster is dropped without `finish`: the thread
+    /// drops its gateway instead of draining and finishing it.
+    abort: Arc<AtomicBool>,
+    /// `None` when aborted.
+    handle: JoinHandle<Option<(Vec<GatewayPacket>, GatewaySnapshot)>>,
 }
 
 impl ShardRunner {
@@ -270,16 +274,18 @@ impl ShardRunner {
         let queue = Arc::new(ChunkQueue::new(queue_capacity, queue_stats));
         let sink = Arc::new(Mutex::new(Vec::new()));
         let horizon = Arc::new(AtomicU64::new(0));
-        let (q, s, h) = (queue.clone(), sink.clone(), horizon.clone());
+        let abort = Arc::new(AtomicBool::new(false));
+        let (q, s, h, a) = (queue.clone(), sink.clone(), horizon.clone(), abort.clone());
         let handle = std::thread::Builder::new()
             .name(format!("cluster-shard-{shard}"))
-            .spawn(move || shard_worker(gw, q, s, h))
+            .spawn(move || shard_worker(gw, q, s, h, &a))
             .expect("failed to spawn cluster shard thread");
         Self {
             queue,
             sink,
             horizon,
             pos: 0,
+            abort,
             handle,
         }
     }
@@ -287,14 +293,19 @@ impl ShardRunner {
 
 /// Body of one shard thread: pop broadcast chunks, push them through the
 /// owned gateway, move fresh releases into the shared sink, publish the
-/// horizon — and finish the gateway when the queue closes.
+/// horizon — and finish the gateway when the queue closes, or just drop
+/// it once `abort` is set.
 fn shard_worker(
     mut gw: Gateway,
     queue: Arc<ChunkQueue>,
     sink: Arc<Mutex<Vec<GatewayPacket>>>,
     horizon: Arc<AtomicU64>,
-) -> (Vec<GatewayPacket>, GatewaySnapshot) {
+    abort: &AtomicBool,
+) -> Option<(Vec<GatewayPacket>, GatewaySnapshot)> {
     loop {
+        if abort.load(Ordering::Acquire) {
+            return None;
+        }
         match queue.pop_timeout(SHARD_IDLE_POLL) {
             Pop::Chunk(chunk) => gw.push(&chunk.samples),
             Pop::Idle => {}
@@ -312,7 +323,7 @@ fn shard_worker(
         }
         horizon.store(h, Ordering::Release);
     }
-    gw.finish()
+    (!abort.load(Ordering::Acquire)).then(|| gw.finish())
 }
 
 /// Shard execution strategy: inline on the caller's thread, or one
@@ -494,19 +505,36 @@ impl GatewayCluster {
     /// indices), recompute the global watermark, and release everything
     /// it covers.
     fn merge(&mut self) {
+        self.merge_with(|_| {});
+    }
+
+    /// [`GatewayCluster::merge`], running `between` after the shard
+    /// horizons are read and before their releases are collected — the
+    /// window in which a shard's pool threads can release concurrently.
+    fn merge_with(&mut self, between: impl FnOnce(&Backend)) {
         let horizon = match &self.backend {
             Backend::Sequential(shards) => {
+                // Horizons *before* releases: a shard's pool threads
+                // release packets concurrently, and everything a
+                // horizon covers is already in that gateway's release
+                // buffer when the horizon is read. Polling first would
+                // miss a packet released between the poll and the
+                // horizon read, which would then arrive below the
+                // advanced global watermark after later packets were
+                // handed out.
+                let horizon = shards
+                    .iter()
+                    .map(Gateway::release_horizon)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                between(&self.backend);
                 for (s, gw) in shards.iter().enumerate() {
                     for mut p in gw.poll_packets() {
                         p.channel = self.channel_maps[s][p.channel];
                         self.pending.push(p);
                     }
                 }
-                shards
-                    .iter()
-                    .map(Gateway::release_horizon)
-                    .min()
-                    .unwrap_or(u64::MAX)
+                horizon
             }
             Backend::Threaded(runners) => {
                 // Horizons *before* sinks: a shard publishes its horizon
@@ -519,6 +547,7 @@ impl GatewayCluster {
                     .map(|r| r.horizon.load(Ordering::Acquire))
                     .min()
                     .unwrap_or(u64::MAX);
+                between(&self.backend);
                 for (s, r) in runners.iter().enumerate() {
                     let mut sink = r.sink.lock().unwrap();
                     for mut p in sink.drain(..) {
@@ -604,7 +633,11 @@ impl GatewayCluster {
                     r.queue.close();
                 }
                 for (s, r) in runners.into_iter().enumerate() {
-                    let (packets, snap) = r.handle.join().expect("cluster shard thread panicked");
+                    let (packets, snap) = r
+                        .handle
+                        .join()
+                        .expect("cluster shard thread panicked")
+                        .expect("only a dropped cluster aborts its shards");
                     let drained: Vec<GatewayPacket> = std::mem::take(&mut *r.sink.lock().unwrap());
                     for mut p in drained.into_iter().chain(packets) {
                         p.channel = self.channel_maps[s][p.channel];
@@ -626,6 +659,25 @@ impl GatewayCluster {
         };
         let packets = std::mem::take(&mut self.released).into_iter().collect();
         (packets, snapshot)
+    }
+}
+
+/// A cluster dropped without [`GatewayCluster::finish`] stops every
+/// thread it started: threaded shards are told to abort, their queues
+/// close, and each shard thread drops its gateway (whose own `Drop`
+/// stops its pool) instead of draining it. Sequential shards are plain
+/// gateways and stop the same way.
+impl Drop for GatewayCluster {
+    fn drop(&mut self) {
+        if let Backend::Threaded(runners) = &mut self.backend {
+            for r in runners.iter() {
+                r.abort.store(true, Ordering::Release);
+                r.queue.close();
+            }
+            for r in runners.drain(..) {
+                let _ = r.handle.join();
+            }
+        }
     }
 }
 
@@ -774,6 +826,97 @@ mod tests {
         assert!(packets.is_empty());
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.global_watermark, u64::MAX);
+    }
+
+    #[test]
+    fn dropping_a_cluster_without_finish_stops_every_thread() {
+        // Regression: without `Drop`, a dropped threaded cluster left
+        // every shard thread (and each shard gateway's threads) parked
+        // forever, each holding its shard's stats.
+        for threaded in [true, false] {
+            let config = ClusterConfig::channel_sharded(base(), 2);
+            let mut cluster = if threaded {
+                GatewayCluster::new_threaded(config)
+            } else {
+                GatewayCluster::new(config)
+            }
+            .expect("valid layout");
+            for _ in 0..4 {
+                cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+            }
+            let stats = cluster.stats.clone();
+            drop(cluster);
+            for (shard, s) in stats.iter().enumerate() {
+                assert_eq!(
+                    Arc::strong_count(s),
+                    1,
+                    "shard {shard} (threaded {threaded}) kept a thread alive"
+                );
+            }
+        }
+    }
+
+    fn released(channel: usize, start: u64, payload: &[u8]) -> GatewayPacket {
+        GatewayPacket {
+            channel,
+            sf: 7,
+            start_wideband: start,
+            packet: cic::DecodedPacket {
+                detection: cic::Detection {
+                    frame_start: start as usize,
+                    cfo_bins: 0.0,
+                    peak_power: 1.0,
+                    score: 10.0,
+                },
+                symbols: vec![],
+                payload: Some(payload.to_vec()),
+                truncated_symbols: 0,
+                contested_symbols: 0,
+                sic_pass: 0,
+            },
+        }
+    }
+
+    /// Release `packet` from `gw`'s sink and move every one of its
+    /// watermarks to `watermark`, as its pool threads would.
+    fn release_through(gw: &Gateway, packet: GatewayPacket, watermark: u64) {
+        gw.sink().report(vec![packet]);
+        for w in 0..gw.stats().snapshot().workers.len() {
+            gw.sink().set_watermark(w, watermark);
+        }
+    }
+
+    #[test]
+    fn sequential_merge_reads_horizons_before_collecting_releases() {
+        // Regression: the sequential merge polled shard releases first and
+        // read horizons second. A shard releasing in between (its pool
+        // threads run concurrently) advanced the global watermark past a
+        // packet the merge had not collected; the later packet went out
+        // first and the earlier one followed, out of order. The hook runs
+        // that release deterministically between the merge's two reads.
+        let mut cluster =
+            GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
+        let Backend::Sequential(shards) = &cluster.backend else {
+            unreachable!("sequential cluster");
+        };
+        // Shard 1 has already released a packet at 3 000 and is past it.
+        release_through(&shards[1], released(0, 3_000, b"later"), 4_000);
+        cluster.merge_with(|backend| {
+            let Backend::Sequential(shards) = backend else {
+                unreachable!("sequential cluster");
+            };
+            // Shard 0 releases an earlier packet and catches up.
+            release_through(&shards[0], released(0, 1_000, b"earlier"), 4_000);
+        });
+        // The caller collects between merges.
+        let mut stream: Vec<GatewayPacket> = std::mem::take(&mut cluster.released).into();
+        stream.extend(cluster.poll_packets());
+        let starts: Vec<(u64, usize)> = stream
+            .iter()
+            .map(|p| (p.start_wideband, p.channel))
+            .collect();
+        // Shard 1's local channel 0 is global channel 2.
+        assert_eq!(starts, vec![(1_000, 0), (3_000, 2)]);
     }
 
     #[test]

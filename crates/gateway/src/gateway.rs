@@ -1,47 +1,59 @@
-//! The gateway runtime: channelizer front end, per-(channel, SF) worker
-//! pool, overload control plane, and the merged time-ordered packet
-//! stream.
+//! The gateway runtime: channelizer front end, per-(channel, SF) decode
+//! streams served by a core-sized thread pool, overload control plane,
+//! and the merged time-ordered packet stream.
 //!
-//! Dataflow (one box per thread):
+//! Dataflow (double boxes are threads):
 //!
 //! ```text
-//!                 ┌──────────── caller thread ────────────┐
-//! wideband IQ ──▶ │ Gateway::push ─▶ Channelizer (D-fold) │
-//!                 └──────┬───────────────┬────────────────┘
+//!                 ╔════════════ caller thread ════════════╗
+//! wideband IQ ──▶ ║ Gateway::push ─▶ Channelizer (D-fold) ║
+//!                 ╚══════╤═══════════════╤════════════════╝
 //!               channel 0│     channel 1 │        …
 //!                  ┌─────┴─────┐   ┌─────┴─────┐
 //!                  ▼           ▼   ▼           ▼
 //!             [queue 0,SF7] [queue 0,SF9] …        bounded, drop-oldest
-//!                  │           │                        ▲ depth gauges
-//!                  ▼           ▼                        │
-//!             worker thread  worker thread   ◀── policy thread
-//!             (CIC decode)   (CIC decode)        (degradation ladder)
-//!                  └─────┬─────┘
-//!                        ▼
-//!                  PacketSink  ─▶ time-ordered, deduplicated packets
+//!             stream state  stream state           ▲ depth gauges
+//!                  │ wake      │ wake              │
+//!                  ▼           ▼                   │
+//!             ╔═══════════ decode pool ═══════╗  ╔═╧═════════════╗
+//!             ║ min(streams, cores) threads;  ║  ║ policy thread ║
+//!             ║ ready streams FIFO, one chunk ║◀─║ (degradation  ║
+//!             ║ per turn; idle deadlines      ║  ║  ladder)      ║
+//!             ╚═══════════════╤═══════════════╝  ╚═══════════════╝
+//!                             ▼
+//!                        PacketSink  ─▶ time-ordered, deduplicated packets
 //! ```
+//!
+//! Every (channel, SF) *stream* keeps its own queue, receiver, control
+//! mailbox, telemetry and sink watermark slot; the decode pool's
+//! threads only decide which stream runs next. A stream runs on at most
+//! one pool thread at a time, one chunk per turn, and ready streams are
+//! served first come, first served, so a backlog on one stream cannot
+//! starve another.
 //!
 //! Backpressure is layered ([`crate::load`]). `push` never blocks; when
 //! decoders fall behind under [`OverloadPolicy::Adaptive`] the policy
-//! thread first cuts decoder effort on hot workers
-//! ([`cic::CicConfig::effort_rung`]), then sheds whole high-SF workers
+//! thread first cuts decoder effort on hot streams
+//! ([`cic::CicConfig::effort_rung`]), then sheds whole high-SF streams
 //! (their chunks are discarded and counted, their watermarks keep
 //! advancing), and only load the ladder cannot absorb reaches the
-//! bounded queues' counted drop-oldest eviction — after which the worker
+//! bounded queues' counted drop-oldest eviction — after which the stream
 //! resynchronises across the gap with [`StreamingReceiver::seek_to`].
 //! Recovery retraces the ladder upward under hysteresis.
 //!
-//! Liveness: a worker whose queue stays empty for
-//! [`crate::load::OverloadConfig::idle_timeout`] has caught up with
-//! everything channelized so far; it quiesces its receiver
-//! ([`StreamingReceiver::quiesce`]) and publishes a caught-up watermark
-//! at its full stream position, so a silent channel can never hold back
-//! the release of other workers' already-decoded packets while the
-//! producer pauses.
+//! Liveness: a stream whose queue stays empty for
+//! [`crate::load::OverloadConfig::idle_timeout`] after a turn has caught
+//! up with everything channelized so far. The pool then gives it an
+//! idle turn — even while other streams keep every thread busy — in
+//! which it quiesces its receiver ([`StreamingReceiver::quiesce`]) and
+//! publishes a caught-up watermark at its full stream position, so a
+//! silent channel can never hold back the release of other streams'
+//! already-decoded packets while the producer pauses.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -53,6 +65,7 @@ use crate::load::{
     ControlAction, OverloadConfig, OverloadController, OverloadPolicy, WorkerControl, SHED_RUNG,
     SIC_RUNG,
 };
+use crate::pool::{DecodePool, Task, Turn};
 use crate::queue::{Chunk, ChunkQueue, Pop};
 use crate::sink::{GatewayPacket, PacketSink};
 use crate::stats::{GatewaySnapshot, GatewayStats, WorkerStats};
@@ -208,8 +221,10 @@ impl GatewayConfig {
     }
 }
 
-/// Per-worker context moved onto the worker thread.
-struct WorkerCtx {
+/// One (channel, SF) decode stream: its queue, receiver, control
+/// mailbox and ladder state. The decode pool serves it one turn at a
+/// time, on at most one thread at once.
+struct Stream {
     idx: usize,
     channel: usize,
     sf: u8,
@@ -220,15 +235,20 @@ struct WorkerCtx {
     control: Arc<WorkerControl>,
     /// Full-effort decoder configuration (rung 0 baseline).
     base_cic: CicConfig,
-    /// How long an empty queue waits before the caught-up watermark.
-    idle_timeout: std::time::Duration,
     /// Wideband samples per channel sample.
     decimation: u64,
     /// Channel-filter group delay in wideband samples.
     delay_wideband: u64,
+    sr: StreamingReceiver,
+    /// The receiver's holdback, channel samples.
+    holdback: usize,
+    /// The effort rung the receiver's config currently reflects.
+    applied_rung: usize,
+    /// `Some(t)` while shed: entry time, for `shed_micros`.
+    shed_since: Option<Instant>,
 }
 
-impl WorkerCtx {
+impl Stream {
     /// Map a channel-stream sample index onto the wideband time base,
     /// correcting the filter group delay.
     fn to_wideband(&self, channel_sample: usize) -> u64 {
@@ -273,88 +293,108 @@ impl WorkerCtx {
     }
 }
 
-fn worker_loop(ctx: WorkerCtx, mut sr: StreamingReceiver) {
-    let holdback = sr.holdback();
-    // The effort rung the receiver's config currently reflects.
-    let mut applied_rung = 0usize;
-    // `Some(t)` while shed: entry time, for `shed_micros`.
-    let mut shed_since: Option<Instant> = None;
-    loop {
-        match ctx.queue.pop_timeout(ctx.idle_timeout) {
-            Pop::Closed => break,
-            Pop::Idle => {
-                // Caught up with everything produced so far. Emit what
-                // the buffer can still complete (keeping the push-time
-                // suppressions — this is not a drain) and publish a
-                // watermark at the *full* position: nothing we report
-                // later can start before it, because the buffer is empty.
-                if shed_since.is_none() {
-                    let out = sr.quiesce();
-                    ctx.deliver(out);
-                    ctx.wstats.store_sic_report(&sr.sic_report());
-                    ctx.sink
-                        .set_watermark(ctx.idx, ctx.to_wideband(sr.position()));
-                }
-            }
+impl Task for Stream {
+    fn turn(&mut self) -> Turn {
+        match self.queue.try_pop() {
             Pop::Chunk(chunk) => {
-                if ctx.control.is_shed() {
-                    if shed_since.is_none() {
-                        // Entering shed: quiesce first so every packet the
-                        // buffer still holds is emitted (or given up on)
-                        // before the watermark runs ahead of the decode.
-                        let out = sr.quiesce();
-                        ctx.deliver(out);
-                        shed_since = Some(Instant::now());
-                    }
-                    ctx.wstats.chunks_shed.fetch_add(1, Ordering::Relaxed);
-                    ctx.wstats
-                        .samples_shed
-                        .fetch_add(chunk.samples.len() as u64, Ordering::Relaxed);
-                    // The discarded span is gone for good; let the rest of
-                    // the gateway release past it.
-                    let end = chunk.start + chunk.samples.len();
-                    ctx.sink.set_watermark(ctx.idx, ctx.to_wideband(end));
-                    continue;
-                }
-                if let Some(t0) = shed_since.take() {
-                    ctx.wstats
-                        .shed_micros
-                        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                }
-                let rung = ctx.control.rung();
-                if rung != applied_rung {
-                    sr.set_config(ctx.config_for_rung(rung));
-                    applied_rung = rung;
-                }
-                let mut decoded = Vec::new();
-                // A start beyond our position means chunks were dropped or
-                // shed: give up on anything straddling the gap and
-                // resynchronise.
-                if chunk.start > sr.position() {
-                    decoded.extend(sr.seek_to(chunk.start));
-                }
-                let t0 = Instant::now();
-                decoded.extend(sr.push(&chunk.samples));
-                let dt = t0.elapsed();
-                ctx.stats.decode.record(dt);
-                ctx.wstats.record_decode_ewma(dt);
-                ctx.deliver(decoded);
-                ctx.wstats.store_sic_report(&sr.sic_report());
-                let safe = sr.position().saturating_sub(holdback);
-                ctx.sink.set_watermark(ctx.idx, ctx.to_wideband(safe));
+                self.consume(&chunk);
+                Turn::Worked
+            }
+            Pop::Idle => {
+                self.catch_up();
+                Turn::Idled
+            }
+            Pop::Closed => {
+                self.flush();
+                Turn::Finished
             }
         }
     }
-    if let Some(t0) = shed_since.take() {
-        ctx.wstats
-            .shed_micros
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+
+    fn has_work(&self) -> bool {
+        !self.queue.is_idle()
     }
-    // Queue closed and drained: decode what the buffer still holds.
-    let rest = sr.flush();
-    ctx.deliver(rest);
-    ctx.wstats.store_sic_report(&sr.sic_report());
-    ctx.sink.finish_worker(ctx.idx);
+}
+
+impl Stream {
+    /// Decode (or, while shed, discard) one chunk.
+    fn consume(&mut self, chunk: &Chunk) {
+        if self.control.is_shed() {
+            if self.shed_since.is_none() {
+                // Entering shed: quiesce first so every packet the
+                // buffer still holds is emitted (or given up on)
+                // before the watermark runs ahead of the decode.
+                let out = self.sr.quiesce();
+                self.deliver(out);
+                self.shed_since = Some(Instant::now());
+            }
+            self.wstats.chunks_shed.fetch_add(1, Ordering::Relaxed);
+            self.wstats
+                .samples_shed
+                .fetch_add(chunk.samples.len() as u64, Ordering::Relaxed);
+            // The discarded span is gone for good; let the rest of
+            // the gateway release past it.
+            let end = chunk.start + chunk.samples.len();
+            self.sink.set_watermark(self.idx, self.to_wideband(end));
+            return;
+        }
+        self.end_shed();
+        let rung = self.control.rung();
+        if rung != self.applied_rung {
+            self.sr.set_config(self.config_for_rung(rung));
+            self.applied_rung = rung;
+        }
+        let mut decoded = Vec::new();
+        // A start beyond our position means chunks were dropped or
+        // shed: give up on anything straddling the gap and
+        // resynchronise.
+        if chunk.start > self.sr.position() {
+            decoded.extend(self.sr.seek_to(chunk.start));
+        }
+        let t0 = Instant::now();
+        decoded.extend(self.sr.push(&chunk.samples));
+        let dt = t0.elapsed();
+        self.stats.decode.record(dt);
+        self.wstats.record_decode_ewma(dt);
+        self.deliver(decoded);
+        self.wstats.store_sic_report(&self.sr.sic_report());
+        let safe = self.sr.position().saturating_sub(self.holdback);
+        self.sink.set_watermark(self.idx, self.to_wideband(safe));
+    }
+
+    /// The idle turn: caught up with everything produced so far. Emit
+    /// what the buffer can still complete (keeping the push-time
+    /// suppressions — this is not a drain) and publish a watermark at
+    /// the *full* position: nothing reported later can start before it,
+    /// because the buffer is empty.
+    fn catch_up(&mut self) {
+        if self.shed_since.is_none() {
+            let out = self.sr.quiesce();
+            self.deliver(out);
+            self.wstats.store_sic_report(&self.sr.sic_report());
+            self.sink
+                .set_watermark(self.idx, self.to_wideband(self.sr.position()));
+        }
+    }
+
+    /// Queue closed and drained: decode what the buffer still holds and
+    /// stop constraining the sink.
+    fn flush(&mut self) {
+        self.end_shed();
+        let rest = self.sr.flush();
+        self.deliver(rest);
+        self.wstats.store_sic_report(&self.sr.sic_report());
+        self.sink.finish_worker(self.idx);
+    }
+
+    /// Leave the shed state, if in it, accounting its duration.
+    fn end_shed(&mut self) {
+        if let Some(t0) = self.shed_since.take() {
+            self.wstats
+                .shed_micros
+                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Condvar-backed stop gate for the policy thread. The thread sleeps
@@ -398,8 +438,13 @@ impl StopGate {
         }
     }
 
+    /// Also called from `Drop`, so it must not panic: the flag is a
+    /// plain bool, valid even if a panicking holder poisoned the lock.
     fn stop(&self) {
-        *self.stopped.lock().expect("stop gate poisoned") = true;
+        *self
+            .stopped
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
         self.cv.notify_all();
     }
 }
@@ -489,7 +534,8 @@ pub struct Gateway {
     worker_channel: Vec<usize>,
     /// Per-worker control mailboxes (shared with the policy thread).
     controls: Vec<Arc<WorkerControl>>,
-    handles: Vec<JoinHandle<()>>,
+    /// The threads decoding every stream.
+    pool: DecodePool<Stream>,
     policy_gate: Arc<StopGate>,
     policy_handle: Option<JoinHandle<()>>,
     sink: Arc<PacketSink>,
@@ -502,12 +548,22 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Validate the configuration, spawn the worker pool (and, under the
-    /// adaptive policy, the control thread) and return a ready gateway.
-    /// An invalid configuration is rejected here with a typed
-    /// [`ConfigError`] naming the offending parameters — no thread is
-    /// spawned and nothing panics.
-    pub fn new(mut config: GatewayConfig) -> Result<Self, ConfigError> {
+    /// Validate the configuration, spawn the decode pool —
+    /// `min(workers, cores)` threads serving every (channel, SF) stream —
+    /// and, under the adaptive policy, the control thread, and return a
+    /// ready gateway. An invalid configuration is rejected here with a
+    /// typed [`ConfigError`] naming the offending parameters — no thread
+    /// is spawned and nothing panics.
+    pub fn new(config: GatewayConfig) -> Result<Self, ConfigError> {
+        Self::with_pool_size(config, available_cores())
+    }
+
+    /// [`Gateway::new`] with a decode pool of `min(workers, threads)`
+    /// threads (at least one).
+    pub(crate) fn with_pool_size(
+        mut config: GatewayConfig,
+        threads: usize,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         // Under the adaptive ladder, a configured SIC stage becomes the
         // boost rung: workers start without it and earn it through
@@ -565,12 +621,12 @@ impl Gateway {
         let mut queues = Vec::with_capacity(workers.len());
         let mut worker_channel = Vec::with_capacity(workers.len());
         let mut controls = Vec::with_capacity(workers.len());
-        let mut handles = Vec::with_capacity(workers.len());
+        let mut streams = Vec::with_capacity(workers.len());
         for ((idx, &(channel, sf)), sr) in workers.iter().enumerate().zip(receivers) {
             let wstats = stats.worker(idx);
             let queue = Arc::new(ChunkQueue::new(config.queue_capacity, wstats.clone()));
             let control = Arc::new(WorkerControl::new());
-            let ctx = WorkerCtx {
+            streams.push(Stream {
                 idx,
                 channel,
                 sf,
@@ -580,20 +636,23 @@ impl Gateway {
                 wstats,
                 control: control.clone(),
                 base_cic: config.cic.clone(),
-                idle_timeout: config.overload.idle_timeout,
                 decimation,
                 delay_wideband,
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gw-ch{channel}-sf{sf}"))
-                    .spawn(move || worker_loop(ctx, sr))
-                    .expect("spawn gateway worker"),
-            );
+                holdback: sr.holdback(),
+                sr,
+                applied_rung: 0,
+                shed_since: None,
+            });
             queues.push(queue);
             worker_channel.push(channel);
             controls.push(control);
         }
+        let pool = DecodePool::spawn(
+            streams,
+            threads.min(workers.len()),
+            config.overload.idle_timeout,
+            "gw-decode",
+        );
 
         let policy_gate = Arc::new(StopGate::new());
         let policy_handle = if config.overload.policy == OverloadPolicy::Adaptive {
@@ -622,7 +681,7 @@ impl Gateway {
             queues,
             worker_channel,
             controls,
-            handles,
+            pool,
             policy_gate,
             policy_handle,
             sink,
@@ -646,8 +705,10 @@ impl Gateway {
         self.dispatch(outs);
     }
 
-    /// Fan channelizer output out to every worker of its channel.
+    /// Fan channelizer output out to every worker of its channel and
+    /// wake those streams in the pool.
     fn dispatch(&mut self, outs: Vec<Vec<Cf32>>) {
+        let fed: Vec<bool> = outs.iter().map(|out| !out.is_empty()).collect();
         for (channel, out) in outs.into_iter().enumerate() {
             if out.is_empty() {
                 continue;
@@ -664,6 +725,9 @@ impl Gateway {
                 }
             }
         }
+        let worker_channel = &self.worker_channel;
+        self.pool
+            .wake((0..worker_channel.len()).filter(|&idx| fed[worker_channel[idx]]));
     }
 
     /// Packets released by the sink since the last call, time-ordered.
@@ -697,6 +761,12 @@ impl Gateway {
         self.sink.horizon()
     }
 
+    /// The merge point, for tests that drive releases directly.
+    #[cfg(test)]
+    pub(crate) fn sink(&self) -> &PacketSink {
+        &self.sink
+    }
+
     /// Deepest legitimate below-watermark reach of the release stream,
     /// wideband samples — the largest worker receiver holdback. Sizes
     /// the cross-gateway duplicate window at the cluster merge tier.
@@ -708,14 +778,12 @@ impl Gateway {
     /// full effort so the drain decodes the backlog instead of shedding
     /// it, flush the channelizer's group-delay tail to the workers (a
     /// packet ending at capture end keeps its final symbols), close all
-    /// queues, wait for every worker to drain and flush, and return the
-    /// remaining merged packets (everything since the last
-    /// [`Gateway::poll_packets`] call) plus a final telemetry snapshot.
+    /// queues, wait for the pool to drain and flush every stream and
+    /// join it, and return the remaining merged packets (everything since
+    /// the last [`Gateway::poll_packets`] call) plus a final telemetry
+    /// snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
-        self.policy_gate.stop();
-        if let Some(h) = self.policy_handle.take() {
-            h.join().expect("gateway policy thread panicked");
-        }
+        self.stop_policy().expect("gateway policy thread panicked");
         for c in &self.controls {
             // Shed and degraded workers come back to full effort; a
             // granted SIC boost stays — only heat revokes it, and with
@@ -728,15 +796,42 @@ impl Gateway {
         let tail = self.channelizer.flush();
         self.stats.channelize.record(t0.elapsed());
         self.dispatch(tail);
-        for q in &self.queues {
-            q.close();
-        }
-        for h in std::mem::take(&mut self.handles) {
-            h.join().expect("gateway worker panicked");
-        }
+        self.close_queues();
+        self.pool.finish();
         let packets = self.sink.take_released();
         (packets, self.stats.snapshot())
     }
+
+    /// Stop and join the policy thread, if it runs.
+    fn stop_policy(&mut self) -> std::thread::Result<()> {
+        self.policy_gate.stop();
+        self.policy_handle.take().map_or(Ok(()), JoinHandle::join)
+    }
+
+    fn close_queues(&self) {
+        for q in &self.queues {
+            q.close();
+        }
+    }
+}
+
+/// A gateway dropped without [`Gateway::finish`] stops its threads:
+/// the policy thread is stopped, the queues close, and the pool threads
+/// exit after their current turn without draining the backlog. Nothing
+/// is flushed and no thread outlives the gateway.
+impl Drop for Gateway {
+    fn drop(&mut self) {
+        let _ = self.stop_policy();
+        self.close_queues();
+        self.pool.abort();
+    }
+}
+
+/// Cores this process may run on, read once: the query walks cgroup
+/// files on Linux, too slow to repeat for every gateway.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 #[cfg(test)]
@@ -780,6 +875,230 @@ mod tests {
         assert_eq!(snap.samples_in, 0);
         assert_eq!(snap.packets_decoded, 0);
         assert_eq!(snap.chunks_dropped, 0);
+    }
+
+    #[test]
+    fn pool_is_core_sized_plus_the_policy_thread() {
+        // 8 streams: the pool runs min(8, cores) threads, and the policy
+        // thread exists only under the adaptive ladder.
+        let gw = Gateway::new(config()).expect("valid config");
+        assert_eq!(gw.pool.threads(), available_cores().min(8));
+        assert!(gw.policy_handle.is_some());
+        drop(gw);
+
+        let mut cfg = config();
+        cfg.overload.policy = OverloadPolicy::DropOldest;
+        let gw = Gateway::new(cfg.clone()).expect("valid config");
+        assert_eq!(gw.pool.threads(), available_cores().min(8));
+        assert!(gw.policy_handle.is_none());
+        drop(gw);
+
+        for (asked, spawned) in [(1, 1), (3, 3), (64, 8), (0, 1)] {
+            let gw = Gateway::with_pool_size(cfg.clone(), asked).expect("valid config");
+            assert_eq!(gw.pool.threads(), spawned, "asked for {asked}");
+        }
+    }
+
+    #[test]
+    fn dropping_without_finish_stops_every_thread() {
+        // Regression: there was no `Drop`, so a gateway dropped without
+        // `finish` left every worker parked on its queue forever, each
+        // holding the stats (7 references here after the drop).
+        let mut gw = Gateway::new(config()).expect("valid config");
+        for _ in 0..4 {
+            gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+        }
+        let stats = gw.stats();
+        drop(gw);
+        assert_eq!(
+            Arc::strong_count(&stats),
+            1,
+            "a gateway thread outlived the drop"
+        );
+    }
+
+    /// Two channels at the paper's 250 kHz, SF7 and SF9, a handful of
+    /// packets on both channels (one SF7 pair colliding, SFs otherwise
+    /// apart in time), unit noise.
+    fn two_channel_capture() -> (lora_channel::wideband::BandPlan, Vec<Cf32>) {
+        use lora_channel::wideband::{synthesize, BandPlan, WidebandPacket};
+        use lora_channel::{add_unit_noise, amplitude_for_snr};
+        use lora_phy::packet::Transceiver;
+        use rand::SeedableRng;
+
+        let plan = BandPlan::uniform(2, 250e3, 500e3, 4, 4);
+        let sym = |sf: u8| (1usize << sf) * plan.oversampling * plan.decimation;
+        let frame =
+            |sf: u8| Transceiver::new(plan.wideband_params(sf), CodeRate::Cr45).frame_samples(16);
+        let packet = |channel: usize, sf: u8, start: usize, snr: f64, tag: u8| WidebandPacket {
+            channel,
+            sf,
+            code_rate: CodeRate::Cr45,
+            payload: (0..16u8).map(|i| i.wrapping_mul(tag) ^ tag).collect(),
+            amplitude: amplitude_for_snr(snr, plan.oversampling),
+            start_sample: start,
+            cfo_hz: 150.0 * f64::from(tag % 5) - 300.0,
+        };
+        let collider = 4 * sym(7) + 9 * sym(7) + 700;
+        let ch0_sf9 = collider + frame(7) + 2 * sym(9);
+        let ch1_sf7 = sym(9) + 1234 + frame(9) + sym(9);
+        let packets = [
+            packet(0, 7, 4 * sym(7), 20.0, 3),
+            packet(0, 7, collider, 14.0, 5),
+            packet(0, 9, ch0_sf9, 18.0, 7),
+            packet(1, 9, sym(9) + 1234, 20.0, 11),
+            packet(1, 7, ch1_sf7, 20.0, 13),
+        ];
+        let len = (ch0_sf9 + frame(9)).max(ch1_sf7 + frame(7)) + 4 * sym(9);
+        let mut samples = synthesize(&plan, len, &packets);
+        add_unit_noise(&mut rand::rngs::StdRng::seed_from_u64(5), &mut samples);
+        (plan, samples)
+    }
+
+    fn plan_config(plan: &lora_channel::wideband::BandPlan, sfs: Vec<u8>) -> GatewayConfig {
+        GatewayConfig {
+            channelizer: ChannelizerConfig::uniform(
+                plan.n_channels(),
+                plan.bandwidth_hz,
+                500e3,
+                plan.bandwidth_hz * plan.oversampling as f64,
+                plan.decimation,
+            ),
+            oversampling: plan.oversampling,
+            sfs,
+            code_rate: CodeRate::Cr45,
+            payload_len: 16,
+            cic: CicConfig::default(),
+            queue_capacity: 1024,
+            overload: OverloadConfig {
+                // No timer may quiesce a receiver mid-stream: the result
+                // is compared with a batch decode.
+                idle_timeout: std::time::Duration::from_secs(600),
+                ..OverloadConfig::drop_oldest()
+            },
+        }
+    }
+
+    #[test]
+    fn any_pool_size_matches_the_batch_decode_exactly_once_in_order() {
+        let (plan, samples) = two_channel_capture();
+        let cfg = plan_config(&plan, vec![7, 9]);
+
+        // Batch reference: each channel decoded whole, per SF.
+        let mut chz = Channelizer::new(cfg.channelizer.clone());
+        let delay = chz.group_delay_wideband() as u64;
+        let mut expected = Vec::new();
+        for (channel, out) in chz.process_all(&samples).iter().enumerate() {
+            for &sf in &cfg.sfs {
+                let rx = cic::CicReceiver::new(
+                    cfg.channel_params(sf),
+                    cfg.code_rate,
+                    cfg.payload_len,
+                    CicConfig::default(),
+                );
+                for p in rx.receive(out) {
+                    if let Some(payload) = p.payload {
+                        let start = (p.detection.frame_start as u64 * plan.decimation as u64)
+                            .saturating_sub(delay);
+                        expected.push((channel, sf, start, payload));
+                    }
+                }
+            }
+        }
+        assert!(expected.len() >= 4, "reference too small: {expected:?}");
+
+        let mut streams = Vec::new();
+        for threads in [1, 4] {
+            let mut gw = Gateway::with_pool_size(cfg.clone(), threads).expect("valid config");
+            assert_eq!(gw.pool.threads(), threads);
+            for (i, chunk) in samples.chunks(7919).enumerate() {
+                // Ragged: every third push split in two.
+                if i % 3 == 0 {
+                    let (a, b) = chunk.split_at(chunk.len() / 3);
+                    gw.push(a);
+                    gw.push(b);
+                } else {
+                    gw.push(chunk);
+                }
+            }
+            let (packets, snap) = gw.finish();
+            assert_eq!(snap.chunks_dropped, 0);
+            for w in packets.windows(2) {
+                assert!(w[0].start_wideband <= w[1].start_wideband, "out of order");
+            }
+            for (channel, sf, start, payload) in &expected {
+                let tol = (1u64 << sf) * (plan.oversampling * plan.decimation) as u64 / 2;
+                let hits = packets
+                    .iter()
+                    .filter(|p| {
+                        p.channel == *channel
+                            && p.sf == *sf
+                            && p.start_wideband.abs_diff(*start) < tol
+                            && p.packet.payload.as_deref() == Some(&payload[..])
+                    })
+                    .count();
+                assert_eq!(hits, 1, "pool {threads}: (ch {channel}, sf {sf}, {start})");
+            }
+            let keys: Vec<_> = packets
+                .iter()
+                .map(|p| (p.start_wideband, p.channel, p.sf, p.packet.payload.clone()))
+                .collect();
+            streams.push(keys);
+        }
+        assert_eq!(
+            streams[0], streams[1],
+            "pool size changed the released stream"
+        );
+    }
+
+    #[test]
+    fn idle_stream_publishes_its_watermark_beside_a_busy_sibling() {
+        // One pool thread, two streams. Stream 0 has a deep backlog of
+        // noise; stream 1 gets one chunk and then nothing. The backlog
+        // keeps the ready line non-empty, so only the idle deadline can
+        // schedule stream 1's idle turn — and its caught-up watermark must
+        // lift the horizon past its whole chunk while stream 0 is still
+        // working through the backlog.
+        use lora_channel::add_unit_noise;
+        use rand::SeedableRng;
+
+        let plan = lora_channel::wideband::BandPlan::uniform(2, 250e3, 500e3, 4, 4);
+        let backlog = 50_000;
+        let mut cfg = plan_config(&plan, vec![7]);
+        cfg.queue_capacity = backlog;
+        cfg.overload.idle_timeout = std::time::Duration::from_millis(5);
+        let gw = Gateway::with_pool_size(cfg, 1).expect("valid config");
+
+        let mut noise = vec![Cf32::new(0.0, 0.0); 2048];
+        add_unit_noise(&mut rand::rngs::StdRng::seed_from_u64(3), &mut noise);
+        let noise = Arc::new(noise);
+        for i in 0..backlog {
+            gw.queues[0].push(Chunk {
+                start: i * noise.len(),
+                samples: noise.clone(),
+            });
+        }
+        let idle_len = 8192;
+        gw.queues[1].push(Chunk {
+            start: 0,
+            samples: Arc::new(vec![Cf32::new(0.0, 0.0); idle_len]),
+        });
+        gw.pool.wake([0, 1]);
+
+        let delay = gw.channelizer.group_delay_wideband() as u64;
+        let caught_up = idle_len as u64 * plan.decimation as u64 - delay;
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        while gw.release_horizon() < caught_up {
+            assert!(
+                Instant::now() < deadline,
+                "idle stream never published its caught-up watermark"
+            );
+            std::thread::yield_now();
+        }
+        assert!(
+            !gw.queues[0].is_idle(),
+            "the idle turn waited for the busy sibling's backlog to drain"
+        );
     }
 
     #[test]
@@ -833,6 +1152,13 @@ mod tests {
         }
         for _ in 0..8 {
             gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+        }
+        // `finish` restores full effort before draining, so let the pool
+        // discard the backlog at the shed rung first.
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        while gw.queues.iter().any(|q| !q.is_empty()) {
+            assert!(Instant::now() < deadline, "shed streams stopped consuming");
+            std::thread::yield_now();
         }
         let (packets, snap) = gw.finish();
         assert!(packets.is_empty());

@@ -5,8 +5,8 @@
 //! LoRa channels at once (§6). This crate is that runtime:
 //!
 //! * [`gateway`] — the [`Gateway`] itself: wideband samples in, a merged
-//!   time-ordered packet stream out, one decode thread per
-//!   (channel, spreading factor);
+//!   time-ordered packet stream out, every (channel, spreading factor)
+//!   stream decoded by a pool of `min(streams, cores)` threads;
 //! * [`load`] — the adaptive overload control plane: a degradation
 //!   ladder that cuts decoder effort, then sheds whole spreading
 //!   factors, before any samples are dropped;
@@ -31,6 +31,7 @@ pub mod cluster;
 pub mod dedup;
 pub mod gateway;
 pub mod load;
+mod pool;
 pub mod queue;
 pub mod sink;
 pub mod stats;

@@ -32,18 +32,19 @@ struct Inner {
     closed: bool,
 }
 
-/// Outcome of a [`ChunkQueue::pop_timeout`].
+/// Outcome of a [`ChunkQueue::pop_timeout`] or [`ChunkQueue::try_pop`].
 pub enum Pop {
     /// The next chunk, in order.
     Chunk(Chunk),
-    /// The queue stayed empty (and open) for the whole timeout.
+    /// The queue stayed empty (and open) for the whole timeout; from
+    /// `try_pop`, it is empty and open now.
     Idle,
     /// The queue is closed and fully drained.
     Closed,
 }
 
 /// Bounded MPSC chunk queue (in practice SPSC: one channelizer feeding
-/// one worker) with drop-oldest overload behaviour.
+/// one decode stream) with drop-oldest overload behaviour.
 pub struct ChunkQueue {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -161,15 +162,8 @@ impl ChunkQueue {
     pub fn pop_timeout(&self, timeout: Duration) -> Pop {
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if let Some(chunk) = inner.queue.pop_front() {
-                self.stats
-                    .queue_depth
-                    .store(inner.queue.len() as u64, Ordering::Relaxed);
-                self.space.notify_one();
-                return Pop::Chunk(chunk);
-            }
-            if inner.closed {
-                return Pop::Closed;
+            if let Some(pop) = self.take_front(&mut inner) {
+                return pop;
             }
             let (guard, res) = self.ready.wait_timeout(inner, timeout).unwrap();
             inner = guard;
@@ -177,6 +171,33 @@ impl ChunkQueue {
                 return Pop::Idle;
             }
         }
+    }
+
+    /// Dequeue the next chunk without waiting: [`Pop::Idle`] if the
+    /// queue is empty and open.
+    pub fn try_pop(&self) -> Pop {
+        let mut inner = self.inner.lock().unwrap();
+        self.take_front(&mut inner).unwrap_or(Pop::Idle)
+    }
+
+    /// The front chunk, or [`Pop::Closed`] once closed and drained;
+    /// `None` while empty and open.
+    fn take_front(&self, inner: &mut Inner) -> Option<Pop> {
+        if let Some(chunk) = inner.queue.pop_front() {
+            self.stats
+                .queue_depth
+                .store(inner.queue.len() as u64, Ordering::Relaxed);
+            self.space.notify_one();
+            return Some(Pop::Chunk(chunk));
+        }
+        inner.closed.then_some(Pop::Closed)
+    }
+
+    /// Whether [`ChunkQueue::try_pop`] would return [`Pop::Idle`]: the
+    /// queue is empty and still open.
+    pub fn is_idle(&self) -> bool {
+        let inner = self.inner.lock().unwrap();
+        inner.queue.is_empty() && !inner.closed
     }
 
     /// Close the queue: producers become no-ops, consumers drain the
@@ -285,6 +306,19 @@ mod tests {
             q.pop_timeout(Duration::from_millis(5)),
             Pop::Closed
         ));
+    }
+
+    #[test]
+    fn try_pop_never_waits() {
+        let (q, _) = queue(4);
+        assert!(matches!(q.try_pop(), Pop::Idle));
+        assert!(q.is_idle());
+        q.push(chunk(0, 4));
+        assert!(!q.is_idle());
+        assert!(matches!(q.try_pop(), Pop::Chunk(c) if c.start == 0));
+        q.close();
+        assert!(!q.is_idle(), "a closed queue still has its end to report");
+        assert!(matches!(q.try_pop(), Pop::Closed));
     }
 
     #[test]
