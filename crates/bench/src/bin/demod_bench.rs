@@ -1,6 +1,6 @@
-//! Demodulator hot-path throughput: allocating wrapper/reference path vs
-//! the scratch-arena path, in symbols/s per (SF, boundary-count) cell,
-//! written to `BENCH_demod.json`.
+//! Demodulator hot-path throughput: the allocating reference vs the
+//! scratch-arena production path, in symbols/s per (SF, boundary-count)
+//! cell, written to `BENCH_demod.json`.
 //!
 //! Each cell synthesises a fixed set of collision windows (target symbol
 //! plus 0/1/3 interferer boundary crossings, noise, preamble-style
@@ -13,7 +13,8 @@
 //! passes is reported; both paths are asserted decision-identical on
 //! every window before timing starts. CI smoke-runs this with `--quick`,
 //! validates the schema, and fails if the scratch path is slower than
-//! the wrapper path on any cell.
+//! the reference on any cell. The reference rate is written under the
+//! schema's historical key `wrapper_symbols_per_sec`.
 //!
 //! Usage: `demod_bench [--windows <n>] [--reps <n>] [--quick] [--out <path>]`
 
@@ -163,7 +164,7 @@ fn main() {
     let opts = parse_opts();
     repro_bench::banner(
         "BENCH demod",
-        "symbols/s, allocating wrapper path vs scratch hot path, per SF x boundaries",
+        "symbols/s, allocating reference vs scratch hot path, per SF x boundaries",
     );
 
     let mut rows = Vec::new();
@@ -189,16 +190,17 @@ fn main() {
             let mut scratch = DemodScratch::new();
             for (de, b, c) in &cases {
                 let want = cic.demodulate_reference(de, b, c);
-                let got = cic.demodulate_scratch(de, b, c, &mut scratch);
+                let (value, selection) = cic.demodulate_with(de, b, c, &mut scratch);
                 assert_eq!(
-                    got, want,
-                    "SF{sf}/{n_boundaries}b: scratch and wrapper paths disagree"
+                    (value, selection, scratch.last_candidates()),
+                    (want.value, want.selection, &want.candidates[..]),
+                    "SF{sf}/{n_boundaries}b: scratch path and reference disagree"
                 );
             }
 
-            let mut best_wrapper = f64::INFINITY;
+            let mut best_reference = f64::INFINITY;
             let mut best_scratch = f64::INFINITY;
-            let mut sum_wrapper = 0usize;
+            let mut sum_reference = 0usize;
             let mut sum_scratch = 0usize;
             for _ in 0..opts.reps {
                 let t0 = Instant::now();
@@ -208,8 +210,8 @@ fn main() {
                         cic.demodulate_reference(de, b, c).value,
                     ));
                 }
-                best_wrapper = best_wrapper.min(t0.elapsed().as_secs_f64());
-                sum_wrapper = acc;
+                best_reference = best_reference.min(t0.elapsed().as_secs_f64());
+                sum_reference = acc;
 
                 let t0 = Instant::now();
                 let mut acc = 0usize;
@@ -222,22 +224,22 @@ fn main() {
                 sum_scratch = acc;
             }
             assert_eq!(
-                sum_wrapper, sum_scratch,
+                sum_reference, sum_scratch,
                 "SF{sf}/{n_boundaries}b: timed passes decoded different values"
             );
 
-            let wrapper_sps = opts.windows as f64 / best_wrapper;
+            let reference_sps = opts.windows as f64 / best_reference;
             let scratch_sps = opts.windows as f64 / best_scratch;
-            let speedup = scratch_sps / wrapper_sps;
+            let speedup = scratch_sps / reference_sps;
             println!(
-                "SF{sf} {n_boundaries} boundaries: wrapper {wrapper_sps:9.0} sym/s, \
+                "SF{sf} {n_boundaries} boundaries: reference {reference_sps:9.0} sym/s, \
                  scratch {scratch_sps:9.0} sym/s, speedup {speedup:.2}x",
             );
             rows.push(json_object! {
                 "sf" => sf as usize,
                 "boundaries" => n_boundaries,
                 "windows" => opts.windows,
-                "wrapper_symbols_per_sec" => wrapper_sps,
+                "wrapper_symbols_per_sec" => reference_sps,
                 "scratch_symbols_per_sec" => scratch_sps,
                 "speedup" => speedup,
             });

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 //! Shared helpers for the figure-regeneration binaries (`src/bin/figXX_*`)
-//! and the Criterion benchmarks (`benches/`).
+//! and the JSON bench binaries (`src/bin/*_bench.rs`).
 //!
 //! Every figure of the paper's evaluation maps to one binary here (see
 //! DESIGN.md §3). The binaries accept:

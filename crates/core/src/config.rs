@@ -50,11 +50,6 @@ pub struct CicConfig {
     /// failed, which are then re-decoded (candidate exclusion only — no
     /// waveform subtraction). 1 disables iteration.
     pub decode_passes: usize,
-    /// Worker threads for packet decoding. 1 decodes sequentially on the
-    /// caller's thread; higher values make [`crate::CicReceiver`] (and the
-    /// streaming receiver built on it) split detected packets across
-    /// scoped threads, with output identical to sequential decoding.
-    pub decode_threads: usize,
     /// Residual-cancellation stage (hybrid CIC + SIC): after the normal
     /// passes, subtract decoded packets from a retained copy of the
     /// capture and re-run CIC on the residual. Disabled by default
@@ -80,7 +75,6 @@ impl Default for CicConfig {
             preamble_peak_threshold: 8.0,
             preamble_min_upchirps: 5,
             decode_passes: 3,
-            decode_threads: 1,
             sic: crate::sic::SicConfig::default(),
         }
     }

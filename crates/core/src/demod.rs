@@ -11,14 +11,16 @@
 //! 4. breaks remaining ties with the Spectral Edge Difference
 //!    (paper §5.6, [`crate::sed`]).
 //!
-//! The hot path ([`CicDemodulator::demodulate_with`]) runs through a
-//! caller-owned [`DemodScratch`]: one full-window transform feeds the
-//! power fold, the amplitude fold *and* the ICSS full-window member, and
-//! every intermediate buffer is reused, so a warm decode loop performs no
-//! heap allocation. [`CicDemodulator::demodulate_reference`] pins the
-//! original allocating implementation; the two are bit-identical (the
-//! equivalence suite in `tests/demod_equivalence.rs` asserts exact
-//! [`SymbolDecision`] equality over randomized collisions).
+//! The one decode entry point ([`CicDemodulator::demodulate_with`]) runs
+//! through a caller-owned [`DemodScratch`]: one full-window transform
+//! feeds the power fold, the amplitude fold *and* the ICSS full-window
+//! member, and every intermediate buffer is reused, so a warm decode loop
+//! performs no heap allocation. [`CicDemodulator::demodulate_reference`]
+//! pins the original allocating implementation as the test and bench
+//! oracle; the two are bit-identical (the equivalence suite in
+//! `tests/demod_equivalence.rs` asserts that the value, selection and
+//! [`DemodScratch::last_candidates`] equal the reference's
+//! [`SymbolDecision`] over randomized collisions).
 
 use lora_dsp::window::SampleRange;
 use lora_dsp::{intersect, peaks, Cf32, Spectrum};
@@ -63,7 +65,8 @@ pub enum Selection {
     Fallback,
 }
 
-/// Result of demodulating one symbol window.
+/// Result of demodulating one symbol window, as
+/// [`CicDemodulator::demodulate_reference`] reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolDecision {
     /// Chosen symbol value (FFT bin).
@@ -144,35 +147,18 @@ impl CicDemodulator {
     /// optimal ICSS of an already de-chirped window.
     pub fn intersected_spectrum(&self, dechirped: &[Cf32], boundaries: &Boundaries) -> Spectrum {
         let mut out = Spectrum::from_power(Vec::new());
-        self.intersected_spectrum_scratch(
-            dechirped,
-            boundaries,
-            &mut DemodScratch::new(),
-            &mut out,
-        );
-        out
-    }
-
-    /// [`CicDemodulator::intersected_spectrum`] through a reused arena.
-    /// Allocation-free once warm; bit-identical results.
-    pub fn intersected_spectrum_scratch(
-        &self,
-        dechirped: &[Cf32],
-        boundaries: &Boundaries,
-        scratch: &mut DemodScratch,
-        out: &mut Spectrum,
-    ) {
         intersect_icss_into(
             &self.demod,
             self.config.min_subsymbol_samples,
             dechirped,
             boundaries,
             None,
-            &mut scratch.spec,
-            &mut scratch.icss,
-            &mut scratch.sub_spec,
-            out,
+            &mut SpectrumScratch::new(),
+            &mut Vec::new(),
+            &mut Spectrum::from_power(Vec::new()),
+            &mut out,
         );
+        out
     }
 
     /// The Strawman-CIC spectrum (paper Fig 9/13): intersection of only
@@ -189,47 +175,16 @@ impl CicDemodulator {
             .unwrap_or_else(|| Spectrum::from_power(vec![0.0; self.demod.params().n_bins()]))
     }
 
-    /// Demodulate one de-chirped window.
+    /// Demodulate one de-chirped window entirely inside `scratch`,
+    /// returning the symbol value and how it was selected. The surviving
+    /// candidates, strongest first, are left in
+    /// [`DemodScratch::last_candidates`]. Allocation-free once `scratch`
+    /// is warm.
     ///
     /// `dechirped` must already be CFO-derotated to the target
     /// transmission (the receiver does this with the preamble estimate),
     /// so the wanted peak sits on an integer bin plus the residual
     /// fractional CFO.
-    ///
-    /// Convenience wrapper over [`CicDemodulator::demodulate_scratch`]
-    /// with a throwaway arena; loops should own a [`DemodScratch`].
-    pub fn demodulate(
-        &self,
-        dechirped: &[Cf32],
-        boundaries: &Boundaries,
-        ctx: &SymbolContext,
-    ) -> SymbolDecision {
-        self.demodulate_scratch(dechirped, boundaries, ctx, &mut DemodScratch::new())
-    }
-
-    /// [`CicDemodulator::demodulate`] through a reused arena. The only
-    /// allocation in a warm loop is the returned decision's candidate
-    /// vector; use [`CicDemodulator::demodulate_with`] to avoid that too.
-    pub fn demodulate_scratch(
-        &self,
-        dechirped: &[Cf32],
-        boundaries: &Boundaries,
-        ctx: &SymbolContext,
-        scratch: &mut DemodScratch,
-    ) -> SymbolDecision {
-        let (value, selection) = self.demodulate_with(dechirped, boundaries, ctx, scratch);
-        SymbolDecision {
-            value,
-            selection,
-            candidates: scratch.candidates.clone(),
-        }
-    }
-
-    /// The allocation-free hot path: demodulate one de-chirped window
-    /// entirely inside `scratch`, returning the symbol value and how it
-    /// was selected. The surviving candidates (what
-    /// [`SymbolDecision::candidates`] would hold) are left in
-    /// [`DemodScratch::last_candidates`].
     ///
     /// Bit-identical to [`CicDemodulator::demodulate_reference`].
     pub fn demodulate_with(
@@ -451,11 +406,11 @@ impl CicDemodulator {
     }
 
     /// The original allocating implementation of
-    /// [`CicDemodulator::demodulate`], pinned verbatim.
+    /// [`CicDemodulator::demodulate_with`], pinned verbatim.
     ///
-    /// Exists as the baseline of the `demod_bench` comparison and as the
-    /// oracle for the bit-exactness suite; not intended for production
-    /// use.
+    /// For tests and benches only: it is the oracle of the bit-exactness
+    /// suite and the baseline of the `demod_bench` comparison. No
+    /// production path calls it.
     pub fn demodulate_reference(
         &self,
         dechirped: &[Cf32],
@@ -636,6 +591,18 @@ mod tests {
         CicDemodulator::new(params(), CicConfig::default())
     }
 
+    /// One window through [`CicDemodulator::demodulate_with`] with a
+    /// fresh arena, packaged as a [`SymbolDecision`].
+    fn decide(c: &CicDemodulator, de: &[Cf32], b: &Boundaries) -> SymbolDecision {
+        let mut scratch = DemodScratch::new();
+        let (value, selection) = c.demodulate_with(de, b, &SymbolContext::default(), &mut scratch);
+        SymbolDecision {
+            value,
+            selection,
+            candidates: scratch.last_candidates().to_vec(),
+        }
+    }
+
     /// Build a window where the target sends `s1` and each interferer `j`
     /// transitions `prev_j -> next_j` at boundary `tau_j`, amplitude `a_j`.
     fn collision(
@@ -680,7 +647,7 @@ mod tests {
         let p = params();
         let c = cic();
         let (win, b) = collision(&p, 123, &[]);
-        let d = c.demodulate(&c.inner().dechirp(&win), &b, &SymbolContext::default());
+        let d = decide(&c, &c.inner().dechirp(&win), &b);
         assert_eq!(d.value, 123);
     }
 
@@ -690,7 +657,7 @@ mod tests {
         let c = cic();
         let (win, b) = collision(&p, 77, &[(10, 210, 400, 1.0)]);
         let de = c.inner().dechirp(&win);
-        let d = c.demodulate(&de, &b, &SymbolContext::default());
+        let d = decide(&c, &de, &b);
         assert_eq!(d.value, 77, "selection {:?}", d.selection);
     }
 
@@ -704,7 +671,7 @@ mod tests {
         let de = c.inner().dechirp(&win);
         let std_value = c.inner().folded_spectrum(&de).argmax().unwrap().0;
         assert_ne!(std_value, 77, "interferer should dominate standard demod");
-        let d = c.demodulate(&de, &b, &SymbolContext::default());
+        let d = decide(&c, &de, &b);
         assert_eq!(d.value, 77, "selection {:?}", d.selection);
     }
 
@@ -718,7 +685,7 @@ mod tests {
             &[(5, 99, 200, 1.5), (30, 222, 520, 1.2), (180, 64, 850, 0.8)],
         );
         let de = c.inner().dechirp(&win);
-        let d = c.demodulate(&de, &b, &SymbolContext::default());
+        let d = decide(&c, &de, &b);
         assert_eq!(d.value, 150, "selection {:?}", d.selection);
     }
 
@@ -759,7 +726,7 @@ mod tests {
         let c = cic();
         let zeros = vec![Cf32::new(0.0, 0.0); 1024];
         let b = Boundaries::new(1024, vec![]);
-        let d = c.demodulate(&zeros, &b, &SymbolContext::default());
+        let d = decide(&c, &zeros, &b);
         assert_eq!(d.selection, Selection::Fallback);
     }
 
@@ -769,7 +736,7 @@ mod tests {
         let c = cic();
         let (win, b) = collision(&p, 42, &[(100, 101, 40, 2.5)]);
         let de = c.inner().dechirp(&win);
-        let d = c.demodulate(&de, &b, &SymbolContext::default());
+        let d = decide(&c, &de, &b);
         for w in d.candidates.windows(2) {
             assert!(w[0].intersected_power >= w[1].intersected_power);
         }
@@ -817,12 +784,14 @@ mod tests {
         for (win, b, ctx) in &cases {
             let de = c.inner().dechirp(win);
             let want = c.demodulate_reference(&de, b, ctx);
-            let got = c.demodulate_scratch(&de, b, ctx, &mut scratch);
-            assert_eq!(got, want);
-            // Spectrum paths agree bit-for-bit too.
-            let mut spec = Spectrum::from_power(vec![7.0; 3]);
-            c.intersected_spectrum_scratch(&de, b, &mut scratch, &mut spec);
-            assert_eq!(spec, c.intersected_spectrum(&de, b));
+            let (value, selection) = c.demodulate_with(&de, b, ctx, &mut scratch);
+            assert_eq!(
+                (value, selection, scratch.last_candidates()),
+                (want.value, want.selection, &want.candidates[..])
+            );
+            // The intersection built from the shared full-window
+            // transform equals the standalone one bit-for-bit.
+            assert_eq!(scratch.cic_spec, c.intersected_spectrum(&de, b));
         }
     }
 }

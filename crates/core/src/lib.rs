@@ -19,9 +19,10 @@
 //! 5. detects packets under collisions with down-chirp preamble search
 //!    ([`preamble`]) and tracks the active set ([`tracker`]).
 //!
-//! The end-to-end gateway pipeline lives in [`receiver`]; it is
-//! embarrassingly parallel per packet and per symbol
-//! ([`receiver::CicReceiver::receive_parallel`]).
+//! The end-to-end receiver pipeline lives in [`receiver`] and runs
+//! sequentially; CIC's per-packet and per-symbol independence is used one
+//! level up, where `lora-gateway` decodes its (channel, SF) streams on a
+//! thread pool.
 //!
 //! ## Quick start
 //!

@@ -12,9 +12,10 @@
 //! 4. the per-packet symbol streams are decoded independently through the
 //!    LoRa coding chain (de-Gray, deinterleave, Hamming, de-whiten, CRC).
 //!
-//! Step 3–4 are independent per packet (and step 3 even per symbol) —
-//! the property that makes CIC "extremely parallelizable" (paper §1);
-//! [`CicReceiver::receive_parallel`] exploits it with scoped threads.
+//! Steps 3–4 are independent per packet (and step 3 even per symbol) —
+//! the property that makes CIC "extremely parallelizable" (paper §1).
+//! The receiver itself is sequential: parallelism lives in the gateway's
+//! decode pool, which runs one receiver per (channel, SF) stream.
 
 use lora_dsp::Cf32;
 use lora_phy::encode::Codec;
@@ -85,7 +86,7 @@ impl CicReceiver {
     }
 
     /// Replace the configuration at runtime. Effort knobs
-    /// (`decode_passes`, candidate limits, SED windows, thread count) take
+    /// (`decode_passes`, candidate limits, SED windows, SIC depth) take
     /// effect on the next `receive*` call; parameters and payload length
     /// are fixed at construction and unaffected.
     pub fn set_config(&mut self, config: CicConfig) {
@@ -133,64 +134,32 @@ impl CicReceiver {
     /// ([`crate::sic::SicConfig::depth`] > 0), which runs *after* these
     /// passes and does subtract waveforms.
     pub fn receive(&self, capture: &[Cf32]) -> Vec<DecodedPacket> {
-        let mut packets = self.receive_cic(capture, 1);
-        self.sic_stage(capture, 1, &mut packets, &mut ResidualBuffer::new());
-        packets
+        self.receive_hybrid(capture, &mut ResidualBuffer::new()).0
     }
 
     /// The pure-CIC pipeline (detection, per-packet decode, candidate
-    /// exclusion passes) with no residual cancellation, sequential or
-    /// threaded. The SIC stage re-enters here for each residual pass.
-    fn receive_cic(&self, capture: &[Cf32], n_threads: usize) -> Vec<DecodedPacket> {
-        if n_threads > 1 {
-            self.receive_cic_par(capture, n_threads)
-        } else {
-            self.receive_cic_seq(capture)
-        }
-    }
-
-    fn receive_cic_seq(&self, capture: &[Cf32]) -> Vec<DecodedPacket> {
+    /// exclusion passes) with no residual cancellation. The SIC stage
+    /// re-enters here for each residual pass.
+    fn receive_cic(&self, capture: &[Cf32]) -> Vec<DecodedPacket> {
         let detections = self.detect(capture);
         let tracker = self.tracker(&detections);
         let demod = CicDemodulator::new(self.params, self.config.clone());
         let mut scratch = DemodScratch::new();
-        let empty = std::collections::HashMap::new();
+        // Data symbols of CRC-clean packets, by detection index: empty for
+        // the first pass, then the known tones of each re-decode pass
+        // (see `receive`).
+        let mut known = std::collections::HashMap::new();
         let mut packets: Vec<DecodedPacket> = detections
             .iter()
-            .map(|d| self.decode_one(capture, &tracker, &demod, d, &empty, &mut scratch))
+            .map(|d| self.decode_one(capture, &tracker, &demod, d, &known, &mut scratch))
             .collect();
-        self.iterate_passes(
-            capture,
-            &tracker,
-            &demod,
-            &detections,
-            &mut packets,
-            &mut scratch,
-        );
-        packets
-    }
-
-    /// Run the re-decode passes of [`CicReceiver::receive`] over `packets`.
-    fn iterate_passes(
-        &self,
-        capture: &[Cf32],
-        tracker: &Tracker,
-        demod: &CicDemodulator,
-        detections: &[Detection],
-        packets: &mut [DecodedPacket],
-        scratch: &mut DemodScratch,
-    ) {
-        let mut decoded_symbols: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
         for _pass in 1..self.config.decode_passes.max(1) {
             for (id, pkt) in packets.iter().enumerate() {
                 if pkt.ok() {
-                    decoded_symbols
-                        .entry(id)
-                        .or_insert_with(|| pkt.symbols.clone());
+                    known.entry(id).or_insert_with(|| pkt.symbols.clone());
                 }
             }
-            if decoded_symbols.is_empty() || decoded_symbols.len() == packets.len() {
+            if known.is_empty() || known.len() == packets.len() {
                 break;
             }
             let mut progressed = false;
@@ -198,8 +167,7 @@ impl CicReceiver {
                 if packets[id].ok() {
                     continue;
                 }
-                let retry =
-                    self.decode_one(capture, tracker, demod, det, &decoded_symbols, scratch);
+                let retry = self.decode_one(capture, &tracker, &demod, det, &known, &mut scratch);
                 if retry.ok() {
                     progressed = true;
                     packets[id] = retry;
@@ -209,25 +177,6 @@ impl CicReceiver {
                 break;
             }
         }
-    }
-
-    /// Receive with the thread count configured in
-    /// [`CicConfig::decode_threads`]: sequential for 1, otherwise
-    /// [`CicReceiver::receive_parallel`]. Output is identical either way.
-    pub fn receive_auto(&self, capture: &[Cf32]) -> Vec<DecodedPacket> {
-        if self.config.decode_threads > 1 {
-            self.receive_parallel(capture, self.config.decode_threads)
-        } else {
-            self.receive(capture)
-        }
-    }
-
-    /// Full receive pipeline with `n_threads` workers decoding packets
-    /// concurrently. Results match [`CicReceiver::receive`] exactly.
-    pub fn receive_parallel(&self, capture: &[Cf32], n_threads: usize) -> Vec<DecodedPacket> {
-        let n_threads = n_threads.max(1);
-        let mut packets = self.receive_cic(capture, n_threads);
-        self.sic_stage(capture, n_threads, &mut packets, &mut ResidualBuffer::new());
         packets
     }
 
@@ -235,17 +184,16 @@ impl CicReceiver {
     /// reporting what the SIC stage did. This is the entry point the
     /// streaming receiver uses: a long-lived [`ResidualBuffer`] avoids
     /// re-allocating the capture copy on every chunk, and the
-    /// [`SicReport`] feeds the gateway's telemetry. Thread count follows
-    /// [`CicConfig::decode_threads`]. With `sic.depth == 0` this is
-    /// exactly [`CicReceiver::receive_auto`] plus an empty report.
+    /// [`SicReport`] feeds the gateway's telemetry.
+    /// [`CicReceiver::receive`] is this with a fresh arena and the report
+    /// dropped; with `sic.depth == 0` the report is empty.
     pub fn receive_hybrid(
         &self,
         capture: &[Cf32],
         residual: &mut ResidualBuffer,
     ) -> (Vec<DecodedPacket>, SicReport) {
-        let n_threads = self.config.decode_threads.max(1);
-        let mut packets = self.receive_cic(capture, n_threads);
-        let report = self.sic_stage(capture, n_threads, &mut packets, residual);
+        let mut packets = self.receive_cic(capture);
+        let report = self.sic_stage(capture, &mut packets, residual);
         (packets, report)
     }
 
@@ -256,7 +204,6 @@ impl CicReceiver {
     fn sic_stage(
         &self,
         capture: &[Cf32],
-        n_threads: usize,
         packets: &mut Vec<DecodedPacket>,
         residual: &mut ResidualBuffer,
     ) -> SicReport {
@@ -310,7 +257,7 @@ impl CicReceiver {
             }
             report.passes += 1;
             let mut progressed = false;
-            for mut pkt in self.receive_cic(residual.samples(), n_threads) {
+            for mut pkt in self.receive_cic(residual.samples()) {
                 let near = packets.iter().position(|p| {
                     p.detection.frame_start.abs_diff(pkt.detection.frame_start) < sps / 2
                 });
@@ -354,61 +301,9 @@ impl CicReceiver {
         report
     }
 
-    fn receive_cic_par(&self, capture: &[Cf32], n_threads: usize) -> Vec<DecodedPacket> {
-        let detections = self.detect(capture);
-        if detections.is_empty() {
-            return Vec::new();
-        }
-        let tracker = self.tracker(&detections);
-        let n_threads = n_threads.max(1).min(detections.len());
-        let mut results: Vec<Option<DecodedPacket>> = vec![None; detections.len()];
-        std::thread::scope(|scope| {
-            for (det_chunk, res_chunk) in detections
-                .chunks(detections.len().div_ceil(n_threads))
-                .zip(results.chunks_mut(detections.len().div_ceil(n_threads)))
-            {
-                let tracker = &tracker;
-                scope.spawn(move || {
-                    // Each worker owns its demodulator and scratch arena:
-                    // neither FFT plans nor hot-path buffers are shared
-                    // across threads.
-                    let demod = CicDemodulator::new(self.params, self.config.clone());
-                    let mut scratch = DemodScratch::new();
-                    let empty = std::collections::HashMap::new();
-                    for (d, slot) in det_chunk.iter().zip(res_chunk.iter_mut()) {
-                        *slot = Some(self.decode_one(
-                            capture,
-                            tracker,
-                            &demod,
-                            d,
-                            &empty,
-                            &mut scratch,
-                        ));
-                    }
-                });
-            }
-        });
-        let mut packets: Vec<DecodedPacket> = results
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect();
-        // Re-decode passes (failures only — typically few, so sequential).
-        let demod = CicDemodulator::new(self.params, self.config.clone());
-        let mut scratch = DemodScratch::new();
-        self.iterate_passes(
-            capture,
-            &tracker,
-            &demod,
-            &detections,
-            &mut packets,
-            &mut scratch,
-        );
-        packets
-    }
-
     /// Demodulate and decode one detected packet. `decoded_symbols` holds
     /// the data symbols of packets already decoded in earlier passes;
-    /// `scratch` is the caller's per-thread demod arena.
+    /// `scratch` is the caller's demod arena.
     fn decode_one(
         &self,
         capture: &[Cf32],
@@ -612,79 +507,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let p = params();
-        let sps = p.samples_per_symbol();
-        let emissions = vec![
-            emission(&p, 5, 20.0, 0, 100.0),
-            emission(&p, 6, 18.0, 7 * sps + 511, -450.0),
-            emission(&p, 7, 22.0, 20 * sps + 77, 800.0),
-        ];
-        let len = emissions
-            .iter()
-            .map(|e| e.start_sample + e.waveform.len())
-            .max()
-            .unwrap()
-            + 1000;
-        let mut cap = superpose(&p, len, &emissions);
-        let mut rng = StdRng::seed_from_u64(4);
-        add_unit_noise(&mut rng, &mut cap);
-        let rx = receiver();
-        let seq = rx.receive(&cap);
-        let par = rx.receive_parallel(&cap, 3);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.symbols, b.symbols);
-            assert_eq!(a.payload, b.payload);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_four_packet_collision() {
+    fn four_packet_collision_all_detected() {
         // Four packets piled into one collision window: every frame
-        // overlaps at least one other, so the re-decode passes and the
-        // per-thread demodulators all get exercised.
+        // overlaps at least one other, so the re-decode passes all get
+        // exercised.
         let p = params();
         let sps = p.samples_per_symbol();
-        let emissions = vec![
+        let emissions = [
             emission(&p, 11, 24.0, 0, 300.0),
             emission(&p, 12, 21.0, 12 * sps + 409, -900.0),
             emission(&p, 13, 23.0, 24 * sps + 811, 1500.0),
             emission(&p, 14, 20.0, 36 * sps + 173, -2100.0),
         ];
-        let len = emissions
-            .iter()
-            .map(|e| e.start_sample + e.waveform.len())
-            .max()
-            .unwrap()
-            + 1000;
-        let mut cap = superpose(&p, len, &emissions);
-        let mut rng = StdRng::seed_from_u64(9);
-        add_unit_noise(&mut rng, &mut cap);
-        let rx = receiver();
-        let seq = rx.receive(&cap);
-        assert_eq!(seq.len(), 4, "all four collisions detected");
-        for threads in [2usize, 4, 8] {
-            let par = rx.receive_parallel(&cap, threads);
-            assert_eq!(seq.len(), par.len(), "{threads} threads");
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.detection.frame_start, b.detection.frame_start);
-                assert_eq!(a.symbols, b.symbols, "{threads} threads");
-                assert_eq!(a.payload, b.payload, "{threads} threads");
-                assert_eq!(a.truncated_symbols, b.truncated_symbols);
-            }
-        }
-        // receive_auto dispatches on the configured thread count.
-        let cfg = CicConfig {
-            decode_threads: 4,
-            ..CicConfig::default()
-        };
-        let auto = CicReceiver::new(p, CodeRate::Cr45, 16, cfg).receive_auto(&cap);
-        assert_eq!(auto.len(), seq.len());
-        for (a, b) in seq.iter().zip(&auto) {
-            assert_eq!(a.symbols, b.symbols);
-            assert_eq!(a.payload, b.payload);
-        }
+        let pkts = run(&emissions, 1000, 9);
+        assert_eq!(pkts.len(), 4, "all four collisions detected");
     }
 
     #[test]
@@ -734,34 +570,6 @@ mod tests {
         // Output is sorted by frame start in hybrid mode.
         for w in pkts.windows(2) {
             assert!(w[0].detection.frame_start <= w[1].detection.frame_start);
-        }
-    }
-
-    #[test]
-    fn hybrid_parallel_matches_sequential() {
-        let p = params();
-        let sps = p.samples_per_symbol();
-        let emissions = [
-            emission(&p, 1, 28.0, 0, 500.0),
-            emission(&p, 2, 11.0, 5 * sps + 271, -600.0),
-        ];
-        let len = emissions[1].start_sample + emissions[1].waveform.len() + 2000;
-        let mut cap = superpose(&p, len, &emissions);
-        let mut rng = StdRng::seed_from_u64(7);
-        add_unit_noise(&mut rng, &mut cap);
-        let cfg = CicConfig {
-            sic: crate::sic::SicConfig::hybrid(),
-            ..CicConfig::default()
-        };
-        let rx = CicReceiver::new(p, CodeRate::Cr45, 16, cfg);
-        let seq = rx.receive(&cap);
-        let par = rx.receive_parallel(&cap, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.detection.frame_start, b.detection.frame_start);
-            assert_eq!(a.symbols, b.symbols);
-            assert_eq!(a.payload, b.payload);
-            assert_eq!(a.sic_pass, b.sic_pass);
         }
     }
 

@@ -7,9 +7,9 @@
 //! decode loop allocates only while the buffers grow to their
 //! steady-state sizes, and never after.
 //!
-//! One arena per thread: nothing here is `Sync`, and the receiver hands
-//! each worker its own instance
-//! ([`crate::receiver::CicReceiver::receive_parallel`]).
+//! One arena per decode loop: nothing here is `Sync`. The receiver builds
+//! one per receive call, so the gateway's decode pool, which runs one
+//! receiver per stream, never shares an arena across threads.
 
 use lora_dsp::peaks::Peak;
 use lora_dsp::window::SampleRange;
@@ -19,9 +19,9 @@ use lora_phy::SpectrumScratch;
 use crate::filters::Candidate;
 use crate::sed::EdgeSpectra;
 
-/// Reusable buffers for [`crate::demod::CicDemodulator::demodulate_scratch`]
-/// and the receiver decode loop. Construct once per worker, thread through
-/// every call; contents between calls are unspecified.
+/// Reusable buffers for [`crate::demod::CicDemodulator::demodulate_with`]
+/// and the receiver decode loop. Construct once per decode loop, thread
+/// through every call; contents between calls are unspecified.
 #[derive(Debug)]
 pub struct DemodScratch {
     /// Padded complex FFT buffer + raw power of sub-symbol transforms.
@@ -86,8 +86,8 @@ impl DemodScratch {
 
     /// Candidates of the most recent
     /// [`crate::demod::CicDemodulator::demodulate_with`] call, strongest
-    /// first (what [`crate::demod::SymbolDecision::candidates`] would
-    /// hold).
+    /// first (what the reference's
+    /// [`crate::demod::SymbolDecision::candidates`] holds).
     pub fn last_candidates(&self) -> &[Candidate] {
         &self.candidates
     }

@@ -352,30 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_streaming_matches_sequential() {
-        // Same stream pushed through a single-threaded and a 4-thread
-        // receiver: decode_threads must not change a single emission.
-        let (cap, _) = capture();
-        let sequential = run_streaming(&cap, 8192);
-        let cfg = CicConfig {
-            decode_threads: 4,
-            ..CicConfig::default()
-        };
-        let mut s = StreamingReceiver::new(params(), CodeRate::Cr45, 14, cfg);
-        let mut threaded = Vec::new();
-        for c in cap.chunks(8192) {
-            for pkt in s.push(c) {
-                threaded.push((pkt.detection.frame_start, pkt.payload));
-            }
-        }
-        for pkt in s.flush() {
-            threaded.push((pkt.detection.frame_start, pkt.payload));
-        }
-        threaded.sort_by_key(|g| g.0);
-        assert_eq!(sequential, threaded);
-    }
-
-    #[test]
     fn seek_skips_a_gap_and_keeps_positions_absolute() {
         let (cap, truth) = capture();
         let p = params();

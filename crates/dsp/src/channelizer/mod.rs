@@ -19,7 +19,7 @@
 //! `(num_taps − 1) / 2` wideband samples of content reach the output
 //! (without it, a packet ending at capture end loses its final symbols).
 //!
-//! Three implementations share this contract:
+//! Two implementations share this contract:
 //!
 //! * [`Channelizer`] — the production path: a true polyphase
 //!   decomposition of the prototype into D sub-filters. The length-T
@@ -34,15 +34,12 @@
 //!   summed in fixed branch order. Branch histories are planar re/im
 //!   `f32` planes; the NCO is a complex-rotator recurrence in f64 (one
 //!   `sin`/`cos` pair every [`RENORM_INTERVAL`] samples).
-//! * [`direct::Channelizer`] — the former production path (full-prototype
-//!   contiguous dot per output instant), kept as the equivalence oracle:
-//!   it computes the identical sums in a different floating-point
-//!   association, so the two agree to ≤ 1e-5 RMS
-//!   (`crates/dsp/tests/channelizer_equivalence.rs`).
 //! * [`scalar::Channelizer`] — the original per-sample `sin`/`cos` +
-//!   interleaved-complex implementation, the semantic reference.
+//!   interleaved-complex implementation, the test and bench oracle: it
+//!   computes the same sums in a different floating-point association,
+//!   so the two agree to ≤ 1e-5 RMS
+//!   (`crates/dsp/tests/channelizer_equivalence.rs`).
 
-pub mod direct;
 pub mod kernel;
 pub mod scalar;
 

@@ -3,7 +3,9 @@
 //! network path must deliver exactly the packets the in-process `push`
 //! path decodes — exactly once, in order, with zero loss counters.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use cic::CicConfig;
 use lora_channel::wideband::{generate_traffic, BandPlan, TrafficConfig};
@@ -217,6 +219,9 @@ fn udp_truncated_datagram_is_rejected_and_counted() {
 
 #[test]
 fn udp_liveness_timeout_rebinds_and_stream_continues() {
+    // Every wait below is bounded: a missed deadline fails the test with
+    // a message instead of hanging it.
+    const DEADLINE: Duration = Duration::from_secs(30);
     let source = UdpIqSource::bind(
         "127.0.0.1:0",
         NetConfig {
@@ -227,6 +232,11 @@ fn udp_liveness_timeout_rebinds_and_stream_continues() {
     )
     .expect("bind");
     let dest = source.local_addr();
+    // `rebound` tells the sender the source is listening again; `ended`
+    // tells it the driver has returned, so it can stop repeating EOS.
+    let (rebound_tx, rebound_rx) = mpsc::channel::<()>();
+    let ended = Arc::new(AtomicBool::new(false));
+    let sender_ended = ended.clone();
     let sender = std::thread::spawn(move || {
         let mut tx = UdpIqSender::connect(dest).expect("sender");
         let chunk = vec![Cf32::new(0.0, 0.0); 1024];
@@ -234,17 +244,52 @@ fn udp_liveness_timeout_rebinds_and_stream_continues() {
             tx.send(&chunk, true).expect("send");
             std::thread::sleep(Duration::from_millis(2));
         }
-        // Dead air long past the liveness timeout: the source must tear
-        // the socket down and rebind the same port.
-        std::thread::sleep(Duration::from_millis(500));
+        // Dead air until the liveness timeout fires: the source must tear
+        // the socket down and rebind the same port. While it sleeps out
+        // its backoff no socket is bound and every datagram is lost, so
+        // the second batch goes out as soon as the rebind is reported,
+        // well inside the fresh socket's liveness window.
+        rebound_rx
+            .recv_timeout(DEADLINE)
+            .expect("no rebind reported within the deadline");
         for _ in 0..10 {
             tx.send(&chunk, true).expect("send");
             std::thread::sleep(Duration::from_millis(2));
         }
-        tx.send_eos(3).expect("eos");
+        // An EOS landing in a later unbound window is lost too: repeat it
+        // until the driver has seen one.
+        let t0 = Instant::now();
+        while !sender_ended.load(Ordering::Acquire) {
+            assert!(
+                t0.elapsed() < DEADLINE,
+                "driver did not end the stream within {DEADLINE:?} of EOS"
+            );
+            tx.send_eos(1).expect("eos");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     });
     let sub = IngestDriver::spawn(gateway(&plan()), source, IngestConfig::default());
-    let (_, snap) = sub.join();
+    let t0 = Instant::now();
+    while sub.stats().reconnects == 0 {
+        assert!(
+            t0.elapsed() < DEADLINE,
+            "liveness timeout did not trigger a rebind within {DEADLINE:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    rebound_tx.send(()).expect("sender thread alive");
+    // `join` has no timeout of its own: run it on a helper thread and
+    // bound the wait for its result.
+    let (done_tx, done_rx) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let drained = sub.join();
+        ended.store(true, Ordering::Release);
+        let _ = done_tx.send(drained);
+    });
+    let (_, snap) = done_rx
+        .recv_timeout(DEADLINE)
+        .expect("ingest driver did not return within the deadline");
+    joiner.join().expect("join thread");
     sender.join().expect("sender thread");
 
     assert!(

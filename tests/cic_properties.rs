@@ -3,7 +3,7 @@
 
 use cic::demod::{CicDemodulator, SymbolContext};
 use cic::subsymbol::Boundaries;
-use cic::CicConfig;
+use cic::{CicConfig, DemodScratch};
 use cic_repro::lora_channel::{superpose, Emission};
 use lora_dsp::Cf32;
 use lora_phy::chirp::symbol_waveform;
@@ -87,8 +87,9 @@ proptest! {
         let (win, b) = collision(&p, s1, &[(prev, next, tau, 1.0)]);
         let cic = CicDemodulator::new(p, CicConfig::default());
         let de = cic.inner().dechirp(&win);
-        let d = cic.demodulate(&de, &b, &SymbolContext::default());
-        prop_assert_eq!(d.value, s1, "selection {:?}", d.selection);
+        let (value, selection) =
+            cic.demodulate_with(&de, &b, &SymbolContext::default(), &mut DemodScratch::new());
+        prop_assert_eq!(value, s1, "selection {:?}", selection);
     }
 
     /// Same, with the interferer 6 dB *stronger* — the case where plain
@@ -107,8 +108,9 @@ proptest! {
         let (win, b) = collision(&p, s1, &[(prev, next, tau, 2.0)]);
         let cic = CicDemodulator::new(p, CicConfig::default());
         let de = cic.inner().dechirp(&win);
-        let d = cic.demodulate(&de, &b, &SymbolContext::default());
-        prop_assert_eq!(d.value, s1, "selection {:?}", d.selection);
+        let (value, selection) =
+            cic.demodulate_with(&de, &b, &SymbolContext::default(), &mut DemodScratch::new());
+        prop_assert_eq!(value, s1, "selection {:?}", selection);
     }
 
     /// The intersected spectrum suppresses the interferer bins relative
@@ -142,7 +144,8 @@ proptest! {
         let (win, b) = collision(&p, s1, &[]);
         let cic = CicDemodulator::new(p, CicConfig::default());
         let de = cic.inner().dechirp(&win);
-        let d = cic.demodulate(&de, &b, &SymbolContext::default());
-        prop_assert_eq!(d.value, s1);
+        let (value, _) =
+            cic.demodulate_with(&de, &b, &SymbolContext::default(), &mut DemodScratch::new());
+        prop_assert_eq!(value, s1);
     }
 }

@@ -1,12 +1,13 @@
 //! Robustness: every receiver must survive degenerate and adversarial
 //! inputs without panicking — and without inventing packets.
 
-use cic::{CicConfig, CicReceiver, StreamingReceiver};
+use cic::{CicConfig, CicReceiver, SicConfig, StreamingReceiver};
 use cic_repro::lora_baselines::{
     ChoirReceiver, CollisionReceiver, ColoraReceiver, FtrackReceiver, MLoraReceiver,
     StandardReceiver,
 };
-use lora_dsp::Cf32;
+use cic_repro::lora_channel::{add_unit_noise, amplitude_for_snr, superpose, Emission};
+use lora_dsp::{Cf32, Channelizer, ChannelizerConfig};
 use lora_phy::{CodeRate, LoraParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,6 +29,38 @@ fn all_receivers() -> Vec<Box<dyn CollisionReceiver>> {
 
 fn cic_rx() -> CicReceiver {
     CicReceiver::new(params(), CodeRate::Cr45, 16, CicConfig::default())
+}
+
+/// The same receiver with the SIC residual stage on, so hostile samples
+/// also reach waveform subtraction and the residual passes.
+fn hybrid_rx() -> CicReceiver {
+    let cfg = CicConfig {
+        sic: SicConfig::hybrid(),
+        ..CicConfig::default()
+    };
+    CicReceiver::new(params(), CodeRate::Cr45, 16, cfg)
+}
+
+/// Non-finite front-end output: all-NaN, all +inf and all −inf
+/// captures, and noise with a NaN or ±inf sample every 997 samples.
+fn non_finite_captures(len: usize, seed: u64) -> Vec<(&'static str, Vec<Cf32>)> {
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    let bad = [
+        Cf32::new(nan, 0.0),
+        Cf32::new(inf, 0.0),
+        Cf32::new(0.0, -inf),
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sprinkled = cic_repro::lora_channel::awgn::noise_buffer(&mut rng, len);
+    for (i, c) in sprinkled.iter_mut().enumerate().step_by(997) {
+        *c = bad[i % bad.len()];
+    }
+    vec![
+        ("nan", vec![Cf32::new(nan, nan); len]),
+        ("+inf", vec![Cf32::new(inf, inf); len]),
+        ("-inf", vec![Cf32::new(-inf, -inf); len]),
+        ("sprinkled", sprinkled),
+    ]
 }
 
 #[test]
@@ -114,9 +147,44 @@ fn saturated_noise_no_panic() {
         c.re = c.re.signum() * 1e6;
         c.im = c.im.signum() * 1e6;
     }
-    let _ = cic_rx().receive(&buf);
-    for rx in all_receivers() {
-        let _ = rx.receive(&buf);
+    let mut captures = vec![("saturated", buf)];
+    // A broken front end: NaN and ±inf samples.
+    captures.extend(non_finite_captures(120_000, 5));
+    for (name, buf) in &captures {
+        for rx in [cic_rx(), hybrid_rx()] {
+            let pkts = rx.receive(buf);
+            assert!(pkts.iter().all(|p| !p.ok()), "{name}: decoded garbage");
+        }
+        for rx in all_receivers() {
+            let _ = rx.receive(buf);
+        }
+    }
+
+    // A clean packet flanked by non-finite samples: it decodes, so the
+    // SIC stage loads the hostile capture, subtracts the packet and
+    // re-runs CIC on a residual that still holds NaN and inf.
+    let p = params();
+    let payload = [9u8; 16];
+    let wave = lora_phy::Transceiver::new(p, CodeRate::Cr45).waveform(&payload);
+    let mut cap = superpose(
+        &p,
+        wave.len() + 40_000,
+        &[Emission {
+            waveform: wave,
+            amplitude: amplitude_for_snr(20.0, p.oversampling()),
+            start_sample: 20_000,
+            cfo_hz: 300.0,
+        }],
+    );
+    add_unit_noise(&mut rng, &mut cap);
+    let n = cap.len();
+    for i in (0..5_000).chain(n - 5_000..n).step_by(7) {
+        cap[i] = Cf32::new(f32::NAN, f32::INFINITY);
+    }
+    for rx in [cic_rx(), hybrid_rx()] {
+        let pkts = rx.receive(&cap);
+        assert_eq!(pkts.len(), 1, "{pkts:?}");
+        assert_eq!(pkts[0].payload.as_deref(), Some(&payload[..]));
     }
 }
 
@@ -131,6 +199,24 @@ fn streaming_garbage_chunks_no_panic() {
         }
     }
     let _ = s.flush();
+
+    // Non-finite chunks through the streaming receiver and the wideband
+    // channelizer in front of it, at ragged chunk sizes.
+    for (name, buf) in non_finite_captures(60_000, 6) {
+        let mut s = StreamingReceiver::new(params(), CodeRate::Cr45, 16, CicConfig::default());
+        let mut ch = Channelizer::new(ChannelizerConfig::uniform(4, 250e3, 500e3, 1e6, 4));
+        let mut pos = 0;
+        for len in [0usize, 1, 7, 1000, 50_000, 8_992] {
+            let chunk = &buf[pos..pos + len];
+            pos += len;
+            for p in s.push(chunk) {
+                assert!(!p.ok(), "{name}: decoded a packet from a streamed chunk");
+            }
+            let _ = ch.process(chunk);
+        }
+        assert!(s.flush().iter().all(|p| !p.ok()), "{name}: flush decoded");
+        let _ = ch.flush();
+    }
 }
 
 #[test]
