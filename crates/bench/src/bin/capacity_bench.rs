@@ -56,8 +56,7 @@ fn usage(msg: &str) -> ! {
          \x20                     [--out <path>]\n\
          defaults: nodes 1000,10000,100000; deployments D1,D2,D3,D4;\n\
          duration 60s; interval 300s; speed 1 (real time; 0 = unpaced);\n\
-         seed 17; shards 1 (N>1 = channel-sharded threaded gateway cluster,\n\
-         with a sequential comparison run for cluster_speedup);\n\
+         seed 17; shards 1 (N>1 = channel-sharded gateway cluster);\n\
          channels 2 (2, 4 or 8; decimation scales with the band);\n\
          out BENCH_capacity.json"
     );
@@ -210,20 +209,10 @@ fn main() {
                 queue_capacity: QUEUE_CAPACITY,
                 policy: OverloadPolicy::Adaptive,
                 shards: opts.shards,
-                threaded: opts.shards > 1,
+                threaded: false,
             };
             let offered_pps = n_nodes as f64 / opts.interval_s;
             let out = run_point(&spec);
-            // Sharded points also run the sequential cluster on the same
-            // stream: the decode set is identical by construction, so the
-            // wall-clock ratio isolates what the per-shard threads buy.
-            let cluster_speedup = (opts.shards > 1).then(|| {
-                let seq = run_point(&CapacitySpec {
-                    threaded: false,
-                    ..spec.clone()
-                });
-                seq.wall_s / out.wall_s.max(1e-9)
-            });
             let s = &out.snapshot;
             println!(
                 "{} {:>7} nodes ({:>6.1} pps): PDR {:.3} ({}/{}), goodput {:>8.1} b/s, \
@@ -247,12 +236,10 @@ fn main() {
             if let Some(cl) = &out.cluster {
                 println!(
                     "        cluster: {} shards, {} packets merged, \
-                     {} cross-gateway duplicates suppressed, \
-                     {:.2}x vs sequential, shard rates {} Msps",
+                     {} cross-gateway duplicates suppressed, shard rates {} Msps",
                     cl.shards.len(),
                     cl.packets_merged,
                     cl.cross_gateway_duplicates,
-                    cluster_speedup.unwrap_or(1.0),
                     out.shard_msamples_s
                         .iter()
                         .map(|r| format!("{r:.1}"))
@@ -310,10 +297,6 @@ fn main() {
                                 .map(|&r| JsonValue::Num(r))
                                 .collect(),
                         ),
-                    ));
-                    pairs.push((
-                        "cluster_speedup".to_string(),
-                        JsonValue::Num(cluster_speedup.unwrap_or(1.0)),
                     ));
                 }
             }

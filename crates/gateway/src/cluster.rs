@@ -11,10 +11,8 @@
 //!   channelizer layout is the base plan restricted to that shard's
 //!   channel offsets. The same FIR prototype and decimation make a
 //!   shard's per-channel streams bit-identical to the wide gateway's, so
-//!   a wideband capture can be broadcast to all shards
-//!   ([`GatewayCluster::push`]) or fed per shard from independent ingest
-//!   front ends ([`GatewayCluster::push_shard`]) with identical decode
-//!   results.
+//!   a wideband capture broadcast to all shards ([`GatewayCluster::push`])
+//!   decodes exactly as the wide gateway would.
 //! * **Global watermark** — each shard's sink already maintains a
 //!   release horizon (minimum over its workers' watermarks); the cluster
 //!   generalises the same rule one level up: packets merge into the
@@ -31,33 +29,19 @@
 //! * **Telemetry aggregation** — [`ClusterSnapshot`] carries each
 //!   shard's [`GatewaySnapshot`] plus their [`GatewaySnapshot::merged`]
 //!   aggregate and the merge tier's own counters.
-//! * **Threaded execution** — [`GatewayCluster::new_threaded`] gives
-//!   every shard its own thread behind a bounded *lossless* broadcast
-//!   queue ([`ChunkQueue::push_wait`]): `push` returns once the chunk is
-//!   enqueued everywhere and the shards channelize + decode
-//!   concurrently, so an N-shard cluster's wall clock approaches the
-//!   slowest shard instead of the sum. Each shard thread publishes its
-//!   release horizon only *after* depositing the packets that horizon
-//!   covers into its sink, and the coordinator reads horizons before
-//!   draining sinks — so the global watermark rule above holds verbatim
-//!   and the merged stream is the same exactly-once, time-ordered
-//!   sequence the sequential cluster produces. The dedup retention bound
-//!   is unchanged too: the window is sized by release slack, and the
-//!   global watermark still never overtakes any shard horizon.
+//!
+//! Shards run inline: `push` channelizes the chunk into each shard in
+//! turn on the caller's thread, and each shard's own decode pool does the
+//! decoding. The cluster spawns no thread of its own.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use lora_dsp::Cf32;
 
 use crate::dedup::{DedupEntry, DedupWindow};
 use crate::gateway::{ConfigError, Gateway, GatewayConfig};
-use crate::queue::{Chunk, ChunkQueue, Pop};
 use crate::sink::GatewayPacket;
-use crate::stats::{GatewaySnapshot, GatewayStats, WorkerStats};
+use crate::stats::GatewaySnapshot;
 
 /// One shard's slice of the cluster's band plan.
 #[derive(Debug, Clone)]
@@ -239,107 +223,12 @@ pub struct ClusterSnapshot {
     pub global_watermark: u64,
 }
 
-/// How long an idle shard thread waits for the next chunk before
-/// refreshing its published horizon (the gateway's own workers keep
-/// advancing their watermarks between cluster pushes).
-const SHARD_IDLE_POLL: Duration = Duration::from_millis(25);
-
-/// One shard of a threaded cluster: its broadcast queue, the sink its
-/// thread deposits releases into, its last published horizon, and the
-/// thread itself (which owns the shard's [`Gateway`]).
-struct ShardRunner {
-    queue: Arc<ChunkQueue>,
-    /// Packets the shard has released, local channel indices, awaiting
-    /// collection by the coordinator's merge.
-    sink: Arc<Mutex<Vec<GatewayPacket>>>,
-    /// The shard's release horizon, published *after* the packets it
-    /// covers reached `sink` — reading it can only under-estimate what
-    /// the sink holds, never overtake it.
-    horizon: Arc<AtomicU64>,
-    /// Wideband samples enqueued to this shard so far (coordinator-side
-    /// position for [`Chunk::start`]).
-    pos: usize,
-    /// Set when the cluster is dropped without `finish`: the thread
-    /// drops its gateway instead of draining and finishing it.
-    abort: Arc<AtomicBool>,
-    /// `None` when aborted.
-    handle: JoinHandle<Option<(Vec<GatewayPacket>, GatewaySnapshot)>>,
-}
-
-impl ShardRunner {
-    /// Spawn shard `shard`'s thread, which owns `gw` until the queue
-    /// closes and then finishes it.
-    fn spawn(shard: usize, gw: Gateway, queue_capacity: usize) -> Self {
-        let queue_stats = Arc::new(WorkerStats::new(shard, 0));
-        let queue = Arc::new(ChunkQueue::new(queue_capacity, queue_stats));
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let horizon = Arc::new(AtomicU64::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let (q, s, h, a) = (queue.clone(), sink.clone(), horizon.clone(), abort.clone());
-        let handle = std::thread::Builder::new()
-            .name(format!("cluster-shard-{shard}"))
-            .spawn(move || shard_worker(gw, q, s, h, &a))
-            .expect("failed to spawn cluster shard thread");
-        Self {
-            queue,
-            sink,
-            horizon,
-            pos: 0,
-            abort,
-            handle,
-        }
-    }
-}
-
-/// Body of one shard thread: pop broadcast chunks, push them through the
-/// owned gateway, move fresh releases into the shared sink, publish the
-/// horizon — and finish the gateway when the queue closes, or just drop
-/// it once `abort` is set.
-fn shard_worker(
-    mut gw: Gateway,
-    queue: Arc<ChunkQueue>,
-    sink: Arc<Mutex<Vec<GatewayPacket>>>,
-    horizon: Arc<AtomicU64>,
-    abort: &AtomicBool,
-) -> Option<(Vec<GatewayPacket>, GatewaySnapshot)> {
-    loop {
-        if abort.load(Ordering::Acquire) {
-            return None;
-        }
-        match queue.pop_timeout(SHARD_IDLE_POLL) {
-            Pop::Chunk(chunk) => gw.push(&chunk.samples),
-            Pop::Idle => {}
-            Pop::Closed => break,
-        }
-        // Horizon before poll: everything the snapshot covers is already
-        // in the gateway's release buffer, so after the copy below the
-        // published horizon really is complete in the sink. (Polling
-        // first could publish a horizon whose packets a concurrent
-        // decode released after the poll.)
-        let h = gw.release_horizon();
-        let packets = gw.poll_packets();
-        if !packets.is_empty() {
-            sink.lock().unwrap().extend(packets);
-        }
-        horizon.store(h, Ordering::Release);
-    }
-    (!abort.load(Ordering::Acquire)).then(|| gw.finish())
-}
-
-/// Shard execution strategy: inline on the caller's thread, or one
-/// thread per shard behind lossless broadcast queues.
-enum Backend {
-    Sequential(Vec<Gateway>),
-    Threaded(Vec<ShardRunner>),
-}
-
 /// N sharded gateways behind one merged stream. See the module docs.
 pub struct GatewayCluster {
-    backend: Backend,
+    /// The shard gateways, pushed inline in shard order.
+    shards: Vec<Gateway>,
     /// Shard → local channel index → global channel index.
     channel_maps: Vec<Vec<usize>>,
-    /// Live telemetry handles, usable while shards run and after finish.
-    stats: Vec<Arc<GatewayStats>>,
     /// Cross-shard duplicate window, over global channel indices.
     dedup: DedupWindow,
     /// Shard releases remapped to global channels, waiting for the
@@ -356,59 +245,26 @@ impl GatewayCluster {
     /// Validate the layout and spawn every shard gateway, pushed inline
     /// in shard order from the caller's thread.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
-        Self::build(config, false)
-    }
-
-    /// Validate the layout and spawn every shard gateway on its own
-    /// thread behind a bounded lossless broadcast queue
-    /// ([`ChunkQueue::push_wait`], capacity `base.queue_capacity`
-    /// chunks): [`GatewayCluster::push`] returns once the chunk is
-    /// enqueued everywhere, shards run concurrently, and the merged
-    /// stream is identical to the sequential cluster's.
-    pub fn new_threaded(config: ClusterConfig) -> Result<Self, ClusterError> {
-        Self::build(config, true)
-    }
-
-    fn build(config: ClusterConfig, threaded: bool) -> Result<Self, ClusterError> {
         config.validate()?;
-        let mut gateways = Vec::with_capacity(config.shards.len());
+        let mut shards = Vec::with_capacity(config.shards.len());
         let mut channel_maps = Vec::with_capacity(config.shards.len());
-        let mut stats = Vec::with_capacity(config.shards.len());
         let mut max_sf = 0u8;
         for (s, plan) in config.shards.iter().enumerate() {
             let cfg = config.shard_config(s);
             max_sf = max_sf.max(*cfg.sfs.iter().max().expect("validated: non-empty sfs"));
             let gw =
                 Gateway::new(cfg).map_err(|source| ClusterError::Shard { shard: s, source })?;
-            stats.push(gw.stats());
             channel_maps.push(plan.channels.clone());
-            gateways.push(gw);
+            shards.push(gw);
         }
         // A shard's release can trail its own horizon by its release
         // slack (receiver holdback); the cross-shard window must retain
         // accepted packets over the largest such reach.
-        let release_slack = gateways
-            .iter()
-            .map(Gateway::release_slack)
-            .max()
-            .unwrap_or(0);
+        let release_slack = shards.iter().map(Gateway::release_slack).max().unwrap_or(0);
         let chip_wideband = config.base.oversampling * config.base.channelizer.decimation;
-        let backend = if threaded {
-            let capacity = config.base.queue_capacity.max(1);
-            Backend::Threaded(
-                gateways
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, gw)| ShardRunner::spawn(s, gw, capacity))
-                    .collect(),
-            )
-        } else {
-            Backend::Sequential(gateways)
-        };
         Ok(Self {
-            backend,
+            shards,
             channel_maps,
-            stats,
             dedup: DedupWindow::new(chip_wideband, max_sf, release_slack),
             pending: Vec::new(),
             released: VecDeque::new(),
@@ -418,58 +274,24 @@ impl GatewayCluster {
         })
     }
 
+    /// The same cluster as [`GatewayCluster::new`]. Kept for callers
+    /// written against the former threaded backend: shards always run
+    /// inline.
+    pub fn new_threaded(config: ClusterConfig) -> Result<Self, ClusterError> {
+        Self::new(config)
+    }
+
     /// Number of shard gateways.
     pub fn n_shards(&self) -> usize {
-        self.channel_maps.len()
+        self.shards.len()
     }
 
-    /// Whether shards run on their own threads
-    /// ([`GatewayCluster::new_threaded`]).
-    pub fn is_threaded(&self) -> bool {
-        matches!(self.backend, Backend::Threaded(_))
-    }
-
-    /// Broadcast a wideband chunk to every shard (each extracts only its
-    /// own band slice) and advance the merge. Sequential clusters push
-    /// each shard inline; threaded clusters enqueue (blocking only when
-    /// a shard's broadcast queue is full — never dropping) and return
-    /// while the shards work.
+    /// Broadcast a wideband chunk to every shard in turn (each extracts
+    /// only its own band slice and hands it to its decode pool) and
+    /// advance the merge.
     pub fn push(&mut self, samples: &[Cf32]) {
-        match &mut self.backend {
-            Backend::Sequential(shards) => {
-                for gw in shards.iter_mut() {
-                    gw.push(samples);
-                }
-            }
-            Backend::Threaded(runners) => {
-                // One shared copy of the chunk feeds every shard.
-                let shared = Arc::new(samples.to_vec());
-                for r in runners.iter_mut() {
-                    r.queue.push_wait(Chunk {
-                        start: r.pos,
-                        samples: shared.clone(),
-                    });
-                    r.pos += samples.len();
-                }
-            }
-        }
-        self.merge();
-    }
-
-    /// Feed shard `shard` from its own ingest front end (the per-shard
-    /// capture must share the cluster's wideband time base) and advance
-    /// the merge.
-    pub fn push_shard(&mut self, shard: usize, samples: &[Cf32]) {
-        match &mut self.backend {
-            Backend::Sequential(shards) => shards[shard].push(samples),
-            Backend::Threaded(runners) => {
-                let r = &mut runners[shard];
-                r.queue.push_wait(Chunk {
-                    start: r.pos,
-                    samples: Arc::new(samples.to_vec()),
-                });
-                r.pos += samples.len();
-            }
+        for gw in &mut self.shards {
+            gw.push(samples);
         }
         self.merge();
     }
@@ -490,7 +312,8 @@ impl GatewayCluster {
 
     /// Live cluster telemetry.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        let shards: Vec<GatewaySnapshot> = self.stats.iter().map(|s| s.snapshot()).collect();
+        let shards: Vec<GatewaySnapshot> =
+            self.shards.iter().map(|gw| gw.stats().snapshot()).collect();
         let merged = GatewaySnapshot::merged(&shards);
         ClusterSnapshot {
             shards,
@@ -511,53 +334,26 @@ impl GatewayCluster {
     /// [`GatewayCluster::merge`], running `between` after the shard
     /// horizons are read and before their releases are collected — the
     /// window in which a shard's pool threads can release concurrently.
-    fn merge_with(&mut self, between: impl FnOnce(&Backend)) {
-        let horizon = match &self.backend {
-            Backend::Sequential(shards) => {
-                // Horizons *before* releases: a shard's pool threads
-                // release packets concurrently, and everything a
-                // horizon covers is already in that gateway's release
-                // buffer when the horizon is read. Polling first would
-                // miss a packet released between the poll and the
-                // horizon read, which would then arrive below the
-                // advanced global watermark after later packets were
-                // handed out.
-                let horizon = shards
-                    .iter()
-                    .map(Gateway::release_horizon)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                between(&self.backend);
-                for (s, gw) in shards.iter().enumerate() {
-                    for mut p in gw.poll_packets() {
-                        p.channel = self.channel_maps[s][p.channel];
-                        self.pending.push(p);
-                    }
-                }
-                horizon
+    fn merge_with(&mut self, between: impl FnOnce(&[Gateway])) {
+        // Horizons *before* releases: a shard's pool threads release
+        // packets concurrently, and everything a horizon covers is
+        // already in that gateway's release buffer when the horizon is
+        // read. Polling first would miss a packet released between the
+        // poll and the horizon read, which would then arrive below the
+        // advanced global watermark after later packets were handed out.
+        let horizon = self
+            .shards
+            .iter()
+            .map(Gateway::release_horizon)
+            .min()
+            .unwrap_or(u64::MAX);
+        between(&self.shards);
+        for (gw, map) in self.shards.iter().zip(&self.channel_maps) {
+            for mut p in gw.poll_packets() {
+                p.channel = map[p.channel];
+                self.pending.push(p);
             }
-            Backend::Threaded(runners) => {
-                // Horizons *before* sinks: a shard publishes its horizon
-                // only after depositing the packets it covers, so a
-                // horizon read first can only lag the sink — the
-                // watermark computed from it is always complete in
-                // `pending`.
-                let horizon = runners
-                    .iter()
-                    .map(|r| r.horizon.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                between(&self.backend);
-                for (s, r) in runners.iter().enumerate() {
-                    let mut sink = r.sink.lock().unwrap();
-                    for mut p in sink.drain(..) {
-                        p.channel = self.channel_maps[s][p.channel];
-                        self.pending.push(p);
-                    }
-                }
-                horizon
-            }
-        };
+        }
         // Monotone: each shard horizon only moves forward.
         self.global_watermark = self.global_watermark.max(horizon);
         self.release_due();
@@ -613,39 +409,14 @@ impl GatewayCluster {
     /// open, and return the remaining merged packets plus the final
     /// cluster snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, ClusterSnapshot) {
-        let mut snaps = Vec::with_capacity(self.channel_maps.len());
-        match std::mem::replace(&mut self.backend, Backend::Sequential(Vec::new())) {
-            Backend::Sequential(shards) => {
-                for (s, gw) in shards.into_iter().enumerate() {
-                    let (packets, snap) = gw.finish();
-                    for mut p in packets {
-                        p.channel = self.channel_maps[s][p.channel];
-                        self.pending.push(p);
-                    }
-                    snaps.push(snap);
-                }
+        let mut snaps = Vec::with_capacity(self.shards.len());
+        for (gw, map) in self.shards.drain(..).zip(&self.channel_maps) {
+            let (packets, snap) = gw.finish();
+            for mut p in packets {
+                p.channel = map[p.channel];
+                self.pending.push(p);
             }
-            Backend::Threaded(runners) => {
-                // Close every queue first so the shards drain their
-                // backlogs and finish concurrently, then join in shard
-                // order.
-                for r in &runners {
-                    r.queue.close();
-                }
-                for (s, r) in runners.into_iter().enumerate() {
-                    let (packets, snap) = r
-                        .handle
-                        .join()
-                        .expect("cluster shard thread panicked")
-                        .expect("only a dropped cluster aborts its shards");
-                    let drained: Vec<GatewayPacket> = std::mem::take(&mut *r.sink.lock().unwrap());
-                    for mut p in drained.into_iter().chain(packets) {
-                        p.channel = self.channel_maps[s][p.channel];
-                        self.pending.push(p);
-                    }
-                    snaps.push(snap);
-                }
-            }
+            snaps.push(snap);
         }
         self.global_watermark = u64::MAX;
         self.release_due();
@@ -662,25 +433,6 @@ impl GatewayCluster {
     }
 }
 
-/// A cluster dropped without [`GatewayCluster::finish`] stops every
-/// thread it started: threaded shards are told to abort, their queues
-/// close, and each shard thread drops its gateway (whose own `Drop`
-/// stops its pool) instead of draining it. Sequential shards are plain
-/// gateways and stop the same way.
-impl Drop for GatewayCluster {
-    fn drop(&mut self) {
-        if let Backend::Threaded(runners) = &mut self.backend {
-            for r in runners.iter() {
-                r.abort.store(true, Ordering::Release);
-                r.queue.close();
-            }
-            for r in runners.drain(..) {
-                let _ = r.handle.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,6 +440,7 @@ mod tests {
     use cic::CicConfig;
     use lora_dsp::ChannelizerConfig;
     use lora_phy::params::CodeRate;
+    use std::sync::Arc;
 
     fn base() -> GatewayConfig {
         GatewayConfig {
@@ -800,7 +553,6 @@ mod tests {
     fn silence_counts_samples_on_every_shard() {
         let mut cluster =
             GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
-        assert!(!cluster.is_threaded());
         for _ in 0..4 {
             cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
         }
@@ -817,42 +569,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_empty_cluster_finishes_cleanly() {
-        let cluster = GatewayCluster::new_threaded(ClusterConfig::channel_sharded(base(), 2))
-            .expect("valid layout");
-        assert!(cluster.is_threaded());
-        assert_eq!(cluster.n_shards(), 2);
-        let (packets, snap) = cluster.finish();
-        assert!(packets.is_empty());
-        assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.global_watermark, u64::MAX);
-    }
-
-    #[test]
     fn dropping_a_cluster_without_finish_stops_every_thread() {
-        // Regression: without `Drop`, a dropped threaded cluster left
-        // every shard thread (and each shard gateway's threads) parked
-        // forever, each holding its shard's stats.
-        for threaded in [true, false] {
-            let config = ClusterConfig::channel_sharded(base(), 2);
-            let mut cluster = if threaded {
-                GatewayCluster::new_threaded(config)
-            } else {
-                GatewayCluster::new(config)
-            }
-            .expect("valid layout");
-            for _ in 0..4 {
-                cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
-            }
-            let stats = cluster.stats.clone();
-            drop(cluster);
-            for (shard, s) in stats.iter().enumerate() {
-                assert_eq!(
-                    Arc::strong_count(s),
-                    1,
-                    "shard {shard} (threaded {threaded}) kept a thread alive"
-                );
-            }
+        // Each shard gateway's threads hold its stats; a dropped cluster
+        // must leave none of them running.
+        let mut cluster =
+            GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
+        for _ in 0..4 {
+            cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+        }
+        let stats: Vec<_> = cluster.shards.iter().map(Gateway::stats).collect();
+        drop(cluster);
+        for (shard, s) in stats.iter().enumerate() {
+            assert_eq!(Arc::strong_count(s), 1, "shard {shard} kept a thread alive");
         }
     }
 
@@ -896,15 +624,9 @@ mod tests {
         // that release deterministically between the merge's two reads.
         let mut cluster =
             GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
-        let Backend::Sequential(shards) = &cluster.backend else {
-            unreachable!("sequential cluster");
-        };
         // Shard 1 has already released a packet at 3 000 and is past it.
-        release_through(&shards[1], released(0, 3_000, b"later"), 4_000);
-        cluster.merge_with(|backend| {
-            let Backend::Sequential(shards) = backend else {
-                unreachable!("sequential cluster");
-            };
+        release_through(&cluster.shards[1], released(0, 3_000, b"later"), 4_000);
+        cluster.merge_with(|shards| {
             // Shard 0 releases an earlier packet and catches up.
             release_through(&shards[0], released(0, 1_000, b"earlier"), 4_000);
         });
@@ -917,22 +639,5 @@ mod tests {
             .collect();
         // Shard 1's local channel 0 is global channel 2.
         assert_eq!(starts, vec![(1_000, 0), (3_000, 2)]);
-    }
-
-    #[test]
-    fn threaded_broadcast_reaches_every_shard_losslessly() {
-        let mut cluster = GatewayCluster::new_threaded(ClusterConfig::channel_sharded(base(), 2))
-            .expect("valid layout");
-        for _ in 0..4 {
-            cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
-        }
-        let (packets, snap) = cluster.finish();
-        assert!(packets.is_empty());
-        // The lossless broadcast queue must deliver the full stream to
-        // every shard regardless of thread scheduling.
-        for s in &snap.shards {
-            assert_eq!(s.samples_in, 4 * 4096);
-        }
-        assert_eq!(snap.merged.samples_in, 2 * 4 * 4096);
     }
 }

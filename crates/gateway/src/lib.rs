@@ -6,20 +6,19 @@
 //!
 //! * [`gateway`] — the [`Gateway`] itself: wideband samples in, a merged
 //!   time-ordered packet stream out, every (channel, spreading factor)
-//!   stream decoded by a pool of `min(streams, cores)` threads;
+//!   stream fed through a bounded queue (counted drop-oldest as the last
+//!   resort) and decoded by a pool of `min(streams, cores)` threads;
 //! * [`load`] — the adaptive overload control plane: a degradation
 //!   ladder that cuts decoder effort, then sheds whole spreading
 //!   factors, before any samples are dropped;
-//! * [`queue`] — bounded sample queues between the channelizer and the
-//!   workers, with a counted drop-oldest overload policy as the last
-//!   resort;
 //! * [`sink`] — the watermark-based merge of all worker outputs into one
 //!   time-ordered, duplicate-suppressed stream;
 //! * [`dedup`] — the duplicate-suppression window shared by the sink and
 //!   the cluster merge tier;
 //! * [`cluster`] — the sharded scale-out tier: N gateways over slices of
-//!   one band behind a single global watermark, with cross-gateway
-//!   duplicate suppression for overlapping coverage;
+//!   one band, pushed inline on the caller's thread, behind a single
+//!   global watermark, with cross-gateway duplicate suppression for
+//!   overlapping coverage;
 //! * [`stats`] — [`GatewayStats`]: atomic counters and log2 latency
 //!   histograms, snapshot-readable while the gateway runs.
 //!
@@ -32,7 +31,7 @@ pub mod dedup;
 pub mod gateway;
 pub mod load;
 mod pool;
-pub mod queue;
+mod queue;
 pub mod sink;
 pub mod stats;
 
@@ -43,7 +42,6 @@ pub use load::{
     ControlAction, LoadMonitor, OverloadConfig, OverloadController, OverloadPolicy, WorkerControl,
     SHED_RUNG, SIC_RUNG,
 };
-pub use queue::{Chunk, ChunkQueue, Pop};
 pub use sink::{GatewayPacket, PacketSink};
 pub use stats::{
     rung_slot, GatewaySnapshot, GatewayStats, HistogramSnapshot, LatencyHistogram,

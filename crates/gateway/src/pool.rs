@@ -177,12 +177,19 @@ impl<T: Task> DecodePool<T> {
         self.handles.len()
     }
 
-    /// Tell the pool that tasks `idxs` have new work.
+    /// Tell the pool that tasks `idxs` have new work. A task between
+    /// turns is readied only if it still has work: a running turn may
+    /// already have consumed what the wake announces, and readying the
+    /// task then would serve its idle turn early.
     pub(crate) fn wake(&self, idxs: impl IntoIterator<Item = usize>) {
         let mut sched = self.shared.lock();
         let mut woken = 0;
         for idx in idxs {
-            woken += usize::from(sched.make_ready(idx));
+            let has_work = match &sched.slots[idx] {
+                Slot::Parked(t) | Slot::Waiting(t, _) => t.has_work(),
+                _ => false,
+            };
+            woken += usize::from(has_work && sched.make_ready(idx));
         }
         for _ in 0..woken.min(sched.sleepers) {
             self.shared.cv.notify_one();
@@ -403,6 +410,28 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(20)).unwrap(),
             (0, Turn::Idled)
         );
+    }
+
+    #[test]
+    fn a_stale_wake_does_not_run_the_idle_turn_early() {
+        // Regression: a wake that lands after a running turn already
+        // consumed the work it announces readied the waiting task anyway,
+        // so the pool served its idle turn up to `idle_timeout` early —
+        // and a stream's idle turn gives up any packet only partly
+        // received.
+        let (tasks, h, rx) = fakes(1);
+        let pool = DecodePool::spawn(tasks, 1, Duration::from_secs(600), "test-pool");
+        h[0].0.store(1, Ordering::SeqCst);
+        pool.wake([0]);
+        assert_eq!(rx.recv().unwrap(), (0, Turn::Worked));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !matches!(pool.shared.lock().slots[0], Slot::Waiting(..)) {
+            assert!(Instant::now() < deadline, "task never started waiting");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        pool.wake([0]);
+        let turn = rx.recv_timeout(Duration::from_millis(300));
+        assert!(turn.is_err(), "a wake with nothing queued ran {turn:?}");
     }
 
     #[test]

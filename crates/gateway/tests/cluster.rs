@@ -4,13 +4,6 @@
 //! with overlapping coverage additionally exercise the cross-gateway
 //! dedup at the merge tier; disjoint SF splits over one band must union
 //! back to the wide decode set with nothing to deduplicate.
-//!
-//! Every scenario runs in both execution modes: sequential (shards
-//! pushed inline) and threaded (one thread per shard behind the lossless
-//! broadcast queue). The threaded cluster's merged stream must be
-//! *identical* to the sequential one — same packets, same global order —
-//! for every sharding × chunking × whatever thread interleaving the
-//! scheduler produces.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -120,21 +113,12 @@ fn fixture() -> &'static Fixture {
 /// ragged chunk sizes, polling as it streams, and return its CRC-ok
 /// merged output plus the final snapshot. Checks the global watermark
 /// monotonicity invariant along the way.
-fn run_cluster(
-    shards: Vec<ShardPlan>,
-    chunks: &[usize],
-    threaded: bool,
-) -> (Vec<GatewayPacket>, ClusterSnapshot) {
+fn run_cluster(shards: Vec<ShardPlan>, chunks: &[usize]) -> (Vec<GatewayPacket>, ClusterSnapshot) {
     let fix = fixture();
-    let config = ClusterConfig {
+    let mut cluster = GatewayCluster::new(ClusterConfig {
         base: base_config(&fix.plan),
         shards,
-    };
-    let mut cluster = if threaded {
-        GatewayCluster::new_threaded(config)
-    } else {
-        GatewayCluster::new(config)
-    }
+    })
     .expect("valid layout");
     let mut got = Vec::new();
     let mut off = 0usize;
@@ -174,23 +158,6 @@ fn assert_ordered(packets: &[GatewayPacket]) {
     }
 }
 
-/// The identity of one merged packet, for stream-equality comparisons
-/// between execution modes.
-fn key(p: &GatewayPacket) -> (u64, usize, u8, Option<Vec<u8>>) {
-    (p.start_wideband, p.channel, p.sf, p.packet.payload.clone())
-}
-
-/// The threaded cluster must emit the exact packet sequence the
-/// sequential cluster emits: same packets, same global order, however
-/// the shard threads interleaved.
-fn assert_identical_streams(sequential: &[GatewayPacket], threaded: &[GatewayPacket]) {
-    assert_eq!(
-        sequential.iter().map(key).collect::<Vec<_>>(),
-        threaded.iter().map(key).collect::<Vec<_>>(),
-        "threaded merged stream diverged from the sequential cluster"
-    );
-}
-
 /// Every reference packet appears exactly once in `got` (same global
 /// channel, SF, payload, and start within half a symbol).
 fn assert_exactly_once(plan: &BandPlan, reference: &[GatewayPacket], got: &[GatewayPacket]) {
@@ -218,10 +185,8 @@ proptest! {
 
     /// Random shard assignments (any partition of the 4 channels into
     /// 1–3 gateways) under random ragged chunkings must be
-    /// indistinguishable from the single wide gateway — in both
-    /// execution modes, and the threaded merged stream must be identical
-    /// to the sequential one (exactly once, in order) no matter how the
-    /// shard threads interleave.
+    /// indistinguishable from the single wide gateway: exactly once, in
+    /// order.
     #[test]
     fn any_sharding_matches_the_wide_gateway(
         assign in collection::vec(0usize..3, N_CHANNELS),
@@ -241,7 +206,7 @@ proptest! {
                 sfs: None,
             })
             .collect();
-        let (got, snap) = run_cluster(shards.clone(), &chunks, false);
+        let (got, snap) = run_cluster(shards, &chunks);
         assert_ordered(&got);
         prop_assert_eq!(
             got.len(),
@@ -254,13 +219,6 @@ proptest! {
         // A partition is disjoint coverage: nothing to dedup across
         // gateways.
         prop_assert_eq!(snap.cross_gateway_duplicates, 0);
-
-        let (threaded, tsnap) = run_cluster(shards, &chunks, true);
-        assert_ordered(&threaded);
-        assert_identical_streams(&got, &threaded);
-        prop_assert_eq!(tsnap.cross_gateway_duplicates, 0);
-        // Lossless broadcast: no shard may have shed or dropped a chunk.
-        prop_assert_eq!(tsnap.merged.chunks_dropped, 0);
     }
 }
 
@@ -285,7 +243,7 @@ fn overlapping_shards_are_deduplicated_exactly_once() {
             sfs: None,
         },
     ];
-    let (got, snap) = run_cluster(shards.clone(), &[2048, 3072], false);
+    let (got, snap) = run_cluster(shards, &[2048, 3072]);
     assert_ordered(&got);
     assert_eq!(
         got.len(),
@@ -296,14 +254,6 @@ fn overlapping_shards_are_deduplicated_exactly_once() {
     assert!(
         snap.cross_gateway_duplicates > 0,
         "overlapping coverage must exercise the cross-gateway dedup"
-    );
-    // Cross-gateway dedup decisions depend only on the sorted release
-    // order, so the threaded merge must make the same ones.
-    let (threaded, tsnap) = run_cluster(shards, &[2048, 3072], true);
-    assert_identical_streams(&got, &threaded);
-    assert_eq!(
-        tsnap.cross_gateway_duplicates,
-        snap.cross_gateway_duplicates
     );
 }
 
@@ -324,11 +274,9 @@ fn sf_split_shards_union_to_the_wide_decode_set() {
             sfs: Some(vec![9]),
         },
     ];
-    let (got, snap) = run_cluster(shards.clone(), &[4096], false);
+    let (got, snap) = run_cluster(shards, &[4096]);
     assert_ordered(&got);
     assert_eq!(got.len(), fix.reference.len());
     assert_exactly_once(&fix.plan, &fix.reference, &got);
     assert_eq!(snap.cross_gateway_duplicates, 0);
-    let (threaded, _) = run_cluster(shards, &[4096], true);
-    assert_identical_streams(&got, &threaded);
 }

@@ -46,11 +46,8 @@ pub struct CapacitySpec {
     /// the global merge watermark (broadcast routing — each shard
     /// digitises the whole wideband stream and extracts its slice).
     pub shards: usize,
-    /// Execution mode of a sharded run: `true` gives each shard its own
-    /// thread behind the lossless broadcast queue
-    /// ([`GatewayCluster::new_threaded`]); `false` pushes shards inline.
-    /// Ignored when `shards == 1`. The merged decode set is identical
-    /// either way — only the wall clock changes.
+    /// Unused: shards always run inline on the pushing thread. Kept so
+    /// callers written against the former threaded cluster still build.
     pub threaded: bool,
 }
 
@@ -135,12 +132,8 @@ pub fn run_point(spec: &CapacitySpec) -> CapacityOutcome {
     let mut samples = 0usize;
     let (snapshot, cluster) = if spec.shards > 1 {
         let config = ClusterConfig::channel_sharded(gateway_config(spec), spec.shards);
-        let mut cl = if spec.threaded {
-            GatewayCluster::new_threaded(config)
-        } else {
-            GatewayCluster::new(config)
-        }
-        .expect("capacity spec derives a valid cluster config");
+        let mut cl =
+            GatewayCluster::new(config).expect("capacity spec derives a valid cluster config");
         while let Some(chunk) = scenario.next_chunk(spec.chunk) {
             samples += chunk.len();
             cl.push(chunk);
@@ -298,13 +291,6 @@ mod tests {
         // Per-shard front-end throughput is recorded for every shard.
         assert_eq!(sharded.shard_msamples_s.len(), 2);
         assert!(sharded.shard_msamples_s.iter().all(|&r| r > 0.0));
-
-        // Threaded execution changes the wall clock, never the decode.
-        spec.threaded = true;
-        let threaded = run_point(&spec);
-        assert_eq!(threaded.delivered_ok, sharded.delivered_ok);
-        assert_eq!(threaded.samples, sharded.samples);
-        assert_eq!(threaded.shard_msamples_s.len(), 2);
     }
 
     #[test]
