@@ -131,7 +131,73 @@ impl ChannelizerConfig {
     pub fn channel_rate_hz(&self) -> f64 {
         self.wideband_rate_hz / self.decimation as f64
     }
+
+    /// Check the fields [`Channelizer::new`] designs the filter from and
+    /// [`Channelizer::process`] decimates by, naming the first one no
+    /// channelizer can be built or run from. A hand-built plan that fails
+    /// here would otherwise panic in [`lowpass_taps`] or on the first
+    /// push.
+    pub fn validate(&self) -> Result<(), ChannelizerError> {
+        let rate = self.wideband_rate_hz;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(ChannelizerError::WidebandRate(rate));
+        }
+        if self.decimation == 0 {
+            return Err(ChannelizerError::ZeroDecimation);
+        }
+        if self.num_taps == 0 {
+            return Err(ChannelizerError::ZeroTaps);
+        }
+        // Written so a NaN cutoff fails too.
+        if !(self.cutoff_hz > 0.0 && self.cutoff_hz < rate / 2.0) {
+            return Err(ChannelizerError::Cutoff {
+                cutoff_hz: self.cutoff_hz,
+                nyquist_hz: rate / 2.0,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// The [`ChannelizerConfig`] field that [`ChannelizerConfig::validate`]
+/// rejects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChannelizerError {
+    /// `wideband_rate_hz` is not a positive, finite rate.
+    WidebandRate(f64),
+    /// `decimation` is zero.
+    ZeroDecimation,
+    /// `num_taps` is zero.
+    ZeroTaps,
+    /// `cutoff_hz` is not strictly between 0 and the wideband Nyquist.
+    Cutoff {
+        /// The configured cutoff, Hz.
+        cutoff_hz: f64,
+        /// Half the wideband rate, Hz.
+        nyquist_hz: f64,
+    },
+}
+
+impl std::fmt::Display for ChannelizerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChannelizerError::WidebandRate(rate) => {
+                write!(f, "wideband_rate_hz {rate} is not a positive finite rate")
+            }
+            ChannelizerError::ZeroDecimation => write!(f, "decimation must be at least 1"),
+            ChannelizerError::ZeroTaps => write!(f, "num_taps must be at least 1"),
+            ChannelizerError::Cutoff {
+                cutoff_hz,
+                nyquist_hz,
+            } => write!(
+                f,
+                "cutoff_hz {cutoff_hz} is not between 0 and the wideband Nyquist {nyquist_hz} Hz"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ChannelizerError {}
 
 /// Hamming windowed-sinc low-pass prototype with unity DC gain.
 /// `cutoff_norm` is the cutoff in cycles per (wideband) sample.
@@ -252,6 +318,10 @@ pub struct Channelizer {
 impl Channelizer {
     /// Build a channelizer (designs the FIR prototype once and splits it
     /// into the D polyphase sub-filters, shared layout for all channels).
+    ///
+    /// # Panics
+    /// A plan that fails [`ChannelizerConfig::validate`] panics here, or
+    /// for a zero decimation on the first [`Channelizer::process`].
     pub fn new(config: ChannelizerConfig) -> Self {
         let taps = lowpass_taps(config.num_taps, config.cutoff_hz / config.wideband_rate_hz);
         let d = config.decimation;

@@ -33,7 +33,7 @@ pub mod peaks;
 pub mod spectrum;
 pub mod window;
 
-pub use channelizer::{Channelizer, ChannelizerConfig};
+pub use channelizer::{Channelizer, ChannelizerConfig, ChannelizerError};
 pub use fft::FftEngine;
 pub use intersect::{spectral_intersection, spectral_intersection_into};
 pub use peaks::{find_peaks, max_peak, Peak};

@@ -1,4 +1,4 @@
-//! The sharded scale-out tier: N [`Gateway`] instances, each digitising
+//! The sharded scale-out tier: N gateway shards, each digitising
 //! a slice of one wideband LoRa band, behind a single merged,
 //! time-ordered, duplicate-suppressed packet stream.
 //!
@@ -7,17 +7,17 @@
 //! must merge, order, and deduplicate what they hear. This module is
 //! that coordinator:
 //!
-//! * **Shard routing** — every shard is a full [`Gateway`] whose
+//! * **Shard routing** — every shard is a gateway front end whose
 //!   channelizer layout is the base plan restricted to that shard's
 //!   channel offsets. The same FIR prototype and decimation make a
 //!   shard's per-channel streams bit-identical to the wide gateway's, so
 //!   a wideband capture broadcast to all shards ([`GatewayCluster::push`])
 //!   decodes exactly as the wide gateway would.
 //! * **Global watermark** — each shard's sink already maintains a
-//!   release horizon (minimum over its workers' watermarks); the cluster
-//!   generalises the same rule one level up: packets merge into the
-//!   global stream only once `min` over shards of
-//!   [`Gateway::release_horizon`] covers them, so the merged stream is
+//!   release horizon (minimum over its workers' watermarks, what
+//!   [`Gateway::release_horizon`] reports); the cluster generalises the
+//!   same rule one level up: packets merge into the global stream only
+//!   once `min` over shard horizons covers them, so the merged stream is
 //!   globally non-decreasing in `start_wideband` without stalling any
 //!   shard.
 //! * **Cross-gateway dedup** — shards with overlapping coverage (same
@@ -31,15 +31,20 @@
 //!   aggregate and the merge tier's own counters.
 //!
 //! Shards run inline: `push` channelizes the chunk into each shard in
-//! turn on the caller's thread, and each shard's own decode pool does the
-//! decoding. The cluster spawns no thread of its own.
+//! turn on the caller's thread. The shards share one runtime, as a
+//! single [`Gateway`] has one of its own: one decode pool of
+//! `min(streams, cores)` threads serves every shard's streams, and under
+//! the adaptive policy one policy thread ticks each shard's own ladder.
+//!
+//! [`Gateway`]: crate::Gateway
+//! [`Gateway::release_horizon`]: crate::Gateway::release_horizon
 
 use std::collections::VecDeque;
 
 use lora_dsp::Cf32;
 
 use crate::dedup::{DedupEntry, DedupWindow};
-use crate::gateway::{ConfigError, Gateway, GatewayConfig};
+use crate::gateway::{available_cores, ConfigError, GatewayConfig, Runtime, Shard};
 use crate::sink::GatewayPacket;
 use crate::stats::GatewaySnapshot;
 
@@ -68,7 +73,7 @@ pub struct ClusterConfig {
 }
 
 /// Typed rejection of an invalid [`ClusterConfig`], raised before any
-/// shard gateway is spawned.
+/// shard is built or thread spawned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
     /// No shards configured.
@@ -224,9 +229,15 @@ pub struct ClusterSnapshot {
 }
 
 /// N sharded gateways behind one merged stream. See the module docs.
+///
+/// Dropped without [`GatewayCluster::finish`], a cluster stops every
+/// thread it runs without draining, as a [`Gateway`](crate::Gateway)
+/// does.
 pub struct GatewayCluster {
-    /// The shard gateways, pushed inline in shard order.
-    shards: Vec<Gateway>,
+    /// The threads decoding every shard's streams.
+    runtime: Runtime,
+    /// The shard front ends, pushed inline in shard order.
+    shards: Vec<Shard>,
     /// Shard → local channel index → global channel index.
     channel_maps: Vec<Vec<usize>>,
     /// Cross-shard duplicate window, over global channel indices.
@@ -242,27 +253,30 @@ pub struct GatewayCluster {
 }
 
 impl GatewayCluster {
-    /// Validate the layout and spawn every shard gateway, pushed inline
-    /// in shard order from the caller's thread.
+    /// Validate the layout, build every shard, and spawn the one runtime
+    /// serving them all: a decode pool of `min(streams, cores)` threads
+    /// over every shard's streams and, under the adaptive policy, one
+    /// policy thread. Shards are pushed inline in shard order from the
+    /// caller's thread.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate()?;
-        let mut shards = Vec::with_capacity(config.shards.len());
-        let mut channel_maps = Vec::with_capacity(config.shards.len());
-        let mut max_sf = 0u8;
-        for (s, plan) in config.shards.iter().enumerate() {
-            let cfg = config.shard_config(s);
-            max_sf = max_sf.max(*cfg.sfs.iter().max().expect("validated: non-empty sfs"));
-            let gw =
-                Gateway::new(cfg).map_err(|source| ClusterError::Shard { shard: s, source })?;
-            channel_maps.push(plan.channels.clone());
-            shards.push(gw);
-        }
+        let configs: Vec<GatewayConfig> = (0..config.shards.len())
+            .map(|s| config.shard_config(s))
+            .collect();
+        let max_sf = configs
+            .iter()
+            .flat_map(|c| c.sfs.iter().copied())
+            .max()
+            .expect("validated: non-empty sfs");
+        let (runtime, shards) = Runtime::spawn(&configs, available_cores());
+        let channel_maps = config.shards.iter().map(|p| p.channels.clone()).collect();
         // A shard's release can trail its own horizon by its release
         // slack (receiver holdback); the cross-shard window must retain
         // accepted packets over the largest such reach.
-        let release_slack = shards.iter().map(Gateway::release_slack).max().unwrap_or(0);
+        let release_slack = shards.iter().map(Shard::release_slack).max().unwrap_or(0);
         let chip_wideband = config.base.oversampling * config.base.channelizer.decimation;
         Ok(Self {
+            runtime,
             shards,
             channel_maps,
             dedup: DedupWindow::new(chip_wideband, max_sf, release_slack),
@@ -286,12 +300,18 @@ impl GatewayCluster {
         self.shards.len()
     }
 
+    /// The threads serving every shard, for tests that count them.
+    #[cfg(test)]
+    pub(crate) fn runtime(&self) -> &Runtime {
+        &self.runtime
+    }
+
     /// Broadcast a wideband chunk to every shard in turn (each extracts
-    /// only its own band slice and hands it to its decode pool) and
-    /// advance the merge.
+    /// only its own band slice and hands it to the shared decode pool)
+    /// and advance the merge.
     pub fn push(&mut self, samples: &[Cf32]) {
-        for gw in &mut self.shards {
-            gw.push(samples);
+        for shard in &mut self.shards {
+            shard.push(&self.runtime, samples);
         }
         self.merge();
     }
@@ -312,8 +332,11 @@ impl GatewayCluster {
 
     /// Live cluster telemetry.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        let shards: Vec<GatewaySnapshot> =
-            self.shards.iter().map(|gw| gw.stats().snapshot()).collect();
+        let shards: Vec<GatewaySnapshot> = self
+            .shards
+            .iter()
+            .map(|shard| shard.stats().snapshot())
+            .collect();
         let merged = GatewaySnapshot::merged(&shards);
         ClusterSnapshot {
             shards,
@@ -333,30 +356,36 @@ impl GatewayCluster {
 
     /// [`GatewayCluster::merge`], running `between` after the shard
     /// horizons are read and before their releases are collected — the
-    /// window in which a shard's pool threads can release concurrently.
-    fn merge_with(&mut self, between: impl FnOnce(&[Gateway])) {
-        // Horizons *before* releases: a shard's pool threads release
-        // packets concurrently, and everything a horizon covers is
-        // already in that gateway's release buffer when the horizon is
-        // read. Polling first would miss a packet released between the
-        // poll and the horizon read, which would then arrive below the
-        // advanced global watermark after later packets were handed out.
+    /// window in which the pool threads can release concurrently.
+    fn merge_with(&mut self, between: impl FnOnce(&[Shard])) {
+        // Horizons *before* releases: the pool threads release packets
+        // concurrently, and everything a horizon covers is already in
+        // that shard's release buffer when the horizon is read. Polling
+        // first would miss a packet released between the poll and the
+        // horizon read, which would then arrive below the advanced
+        // global watermark after later packets were handed out.
         let horizon = self
             .shards
             .iter()
-            .map(Gateway::release_horizon)
+            .map(Shard::release_horizon)
             .min()
             .unwrap_or(u64::MAX);
         between(&self.shards);
-        for (gw, map) in self.shards.iter().zip(&self.channel_maps) {
-            for mut p in gw.poll_packets() {
+        self.collect_releases();
+        // Monotone: each shard horizon only moves forward.
+        self.global_watermark = self.global_watermark.max(horizon);
+        self.release_due();
+    }
+
+    /// Move every shard's fresh releases, remapped onto global channel
+    /// indices, into the pending set.
+    fn collect_releases(&mut self) {
+        for (shard, map) in self.shards.iter().zip(&self.channel_maps) {
+            for mut p in shard.poll_packets() {
                 p.channel = map[p.channel];
                 self.pending.push(p);
             }
         }
-        // Monotone: each shard horizon only moves forward.
-        self.global_watermark = self.global_watermark.max(horizon);
-        self.release_due();
     }
 
     /// Release every pending packet the global watermark covers, in
@@ -404,30 +433,16 @@ impl GatewayCluster {
         self.dedup.prune(horizon);
     }
 
-    /// End of stream: finish every shard (flushing channelizer tails and
-    /// draining workers), run the final merge with the watermark fully
-    /// open, and return the remaining merged packets plus the final
-    /// cluster snapshot.
+    /// End of stream: end every shard's input (flushing its channelizer
+    /// tail), drain the shared pool once, run the final merge with the
+    /// watermark fully open, and return the remaining merged packets
+    /// plus the final cluster snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, ClusterSnapshot) {
-        let mut snaps = Vec::with_capacity(self.shards.len());
-        for (gw, map) in self.shards.drain(..).zip(&self.channel_maps) {
-            let (packets, snap) = gw.finish();
-            for mut p in packets {
-                p.channel = map[p.channel];
-                self.pending.push(p);
-            }
-            snaps.push(snap);
-        }
+        self.runtime.finish(&mut self.shards);
+        self.collect_releases();
         self.global_watermark = u64::MAX;
         self.release_due();
-        let merged = GatewaySnapshot::merged(&snaps);
-        let snapshot = ClusterSnapshot {
-            shards: snaps,
-            merged,
-            cross_gateway_duplicates: self.cross_gateway_duplicates,
-            packets_merged: self.packets_merged,
-            global_watermark: u64::MAX,
-        };
+        let snapshot = self.snapshot();
         let packets = std::mem::take(&mut self.released).into_iter().collect();
         (packets, snapshot)
     }
@@ -577,7 +592,7 @@ mod tests {
         for _ in 0..4 {
             cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
         }
-        let stats: Vec<_> = cluster.shards.iter().map(Gateway::stats).collect();
+        let stats: Vec<_> = cluster.shards.iter().map(Shard::stats).collect();
         drop(cluster);
         for (shard, s) in stats.iter().enumerate() {
             assert_eq!(Arc::strong_count(s), 1, "shard {shard} kept a thread alive");
@@ -605,12 +620,12 @@ mod tests {
         }
     }
 
-    /// Release `packet` from `gw`'s sink and move every one of its
-    /// watermarks to `watermark`, as its pool threads would.
-    fn release_through(gw: &Gateway, packet: GatewayPacket, watermark: u64) {
-        gw.sink().report(vec![packet]);
-        for w in 0..gw.stats().snapshot().workers.len() {
-            gw.sink().set_watermark(w, watermark);
+    /// Release `packet` from `shard`'s sink and move every one of its
+    /// watermarks to `watermark`, as the pool threads would.
+    fn release_through(shard: &Shard, packet: GatewayPacket, watermark: u64) {
+        shard.sink().report(vec![packet]);
+        for w in 0..shard.stats().snapshot().workers.len() {
+            shard.sink().set_watermark(w, watermark);
         }
     }
 

@@ -31,6 +31,12 @@
 //! served first come, first served, so a backlog on one stream cannot
 //! starve another.
 //!
+//! The threads belong to a *runtime*: one decode pool over every stream
+//! it serves, plus at most one policy thread. A gateway is one front end
+//! (channelizer, queues, sink, telemetry) on a runtime of its own; a
+//! [`crate::GatewayCluster`] runs all its shard front ends on one shared
+//! runtime, so its thread count does not grow with the shard count.
+//!
 //! Backpressure is layered ([`crate::load`]). `push` never blocks; when
 //! decoders fall behind under [`OverloadPolicy::Adaptive`] the policy
 //! thread first cuts decoder effort on hot streams
@@ -55,10 +61,10 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cic::{CicConfig, DecodedPacket, StreamingReceiver};
-use lora_dsp::{Cf32, Channelizer, ChannelizerConfig};
+use lora_dsp::{Cf32, Channelizer, ChannelizerConfig, ChannelizerError};
 use lora_phy::params::{CodeRate, LoraParams, ParamError};
 
 use crate::load::{
@@ -121,6 +127,9 @@ pub enum ConfigError {
         /// The underlying parameter error.
         source: ParamError,
     },
+    /// A channelizer plan field no filter can be designed or run from
+    /// (see [`ChannelizerConfig::validate`]).
+    InvalidChannelizer(ChannelizerError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -146,6 +155,9 @@ impl std::fmt::Display for ConfigError {
                 "invalid channel parameters at sf{sf} \
                  (bandwidth {bandwidth_hz} Hz, oversampling {oversampling}): {source}"
             ),
+            ConfigError::InvalidChannelizer(source) => {
+                write!(f, "invalid channelizer plan: {source}")
+            }
         }
     }
 }
@@ -154,6 +166,7 @@ impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ConfigError::InvalidChannelParams { source, .. } => Some(source),
+            ConfigError::InvalidChannelizer(source) => Some(source),
             _ => None,
         }
     }
@@ -186,8 +199,9 @@ impl GatewayConfig {
 
     /// Check every axis of the configuration up front, before any
     /// resource is allocated or thread spawned: channel plan, spreading
-    /// factor set, queue sizing, and the derived per-channel LoRa
-    /// parameters at every configured spreading factor.
+    /// factor set, queue sizing, the derived per-channel LoRa
+    /// parameters at every configured spreading factor, and the
+    /// channelizer's filter design and decimation.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channelizer.n_channels() == 0 {
             return Err(ConfigError::NoChannels);
@@ -206,7 +220,11 @@ impl GatewayConfig {
         for &sf in &self.sfs {
             self.try_channel_params(sf)?;
         }
-        Ok(())
+        // A zero wideband rate already failed above, as the zero channel
+        // bandwidth it derives.
+        self.channelizer
+            .validate()
+            .map_err(ConfigError::InvalidChannelizer)
     }
 
     /// The (channel, SF) pair handled by each worker, in worker order.
@@ -449,38 +467,37 @@ impl StopGate {
     }
 }
 
-/// The control plane: samples the queue-depth gauges every tick, runs the
-/// [`OverloadController`] ladder, and applies its transitions to the
-/// per-worker [`WorkerControl`] mailboxes and telemetry.
-fn policy_loop(
-    cfg: OverloadConfig,
-    worker_sfs: Vec<u8>,
+/// One adaptive shard's part of the control plane: its own
+/// [`OverloadController`] ladder and the gauges it reads and the
+/// mailboxes and telemetry it drives.
+struct ShardLadder {
+    ctl: OverloadController,
     queue_capacity: usize,
     controls: Vec<Arc<WorkerControl>>,
     stats: Arc<GatewayStats>,
     wstats: Vec<Arc<WorkerStats>>,
-    gate: Arc<StopGate>,
-) {
-    let tick = cfg.tick;
-    let mut ctl = OverloadController::new(cfg, &worker_sfs);
-    // Deadline-scheduled ticks: each iteration waits until `next` rather
-    // than sleeping a fixed amount, so tick processing time does not
-    // accumulate drift, and `stop` interrupts the wait instantly.
-    let mut next = Instant::now() + tick;
-    loop {
-        if gate.wait_until(next) {
-            return;
-        }
-        next = Instant::now() + tick;
-        let depths: Vec<u64> = wstats
+}
+
+impl ShardLadder {
+    /// One tick: sample the shard's queue-depth and decode-latency
+    /// gauges, run its ladder, and apply the transitions to its
+    /// per-worker [`WorkerControl`] mailboxes and telemetry.
+    fn tick(&mut self) {
+        let depths: Vec<u64> = self
+            .wstats
             .iter()
             .map(|w| w.queue_depth.load(Ordering::Relaxed))
             .collect();
-        let decode_ewmas: Vec<u64> = wstats
+        let decode_ewmas: Vec<u64> = self
+            .wstats
             .iter()
             .map(|w| w.decode_ewma_ns.load(Ordering::Relaxed))
             .collect();
-        for action in ctl.tick_with_decode(&depths, &decode_ewmas, queue_capacity) {
+        let (controls, stats, wstats) = (&self.controls, &self.stats, &self.wstats);
+        for action in self
+            .ctl
+            .tick_with_decode(&depths, &decode_ewmas, self.queue_capacity)
+        {
             match action {
                 ControlAction::SetRung {
                     worker,
@@ -523,10 +540,115 @@ fn policy_loop(
     }
 }
 
-/// A running multi-channel gateway. Feed wideband samples with
-/// [`Gateway::push`] (any chunk sizes), collect merged packets with
-/// [`Gateway::poll_packets`] or all at once from [`Gateway::finish`].
-pub struct Gateway {
+/// The policy thread: ticks every adaptive shard's ladder in turn, once
+/// per `tick`. Dropping it stops and joins the thread.
+struct PolicyThread {
+    gate: Arc<StopGate>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl PolicyThread {
+    fn spawn(mut ladders: Vec<ShardLadder>, tick: Duration) -> Self {
+        let gate = Arc::new(StopGate::new());
+        let thread_gate = gate.clone();
+        let handle = std::thread::Builder::new()
+            .name("gw-policy".into())
+            .spawn(move || {
+                // Deadline-scheduled ticks: each iteration waits until
+                // `next` rather than sleeping a fixed amount, so tick
+                // processing time does not accumulate drift, and `stop`
+                // interrupts the wait instantly.
+                let mut next = Instant::now() + tick;
+                while !thread_gate.wait_until(next) {
+                    next = Instant::now() + tick;
+                    for ladder in &mut ladders {
+                        ladder.tick();
+                    }
+                }
+            })
+            .expect("spawn gateway policy thread");
+        Self {
+            gate,
+            handle: Some(handle),
+        }
+    }
+
+    /// Stop and join the thread; a no-op once it has been joined.
+    fn stop(&mut self) -> std::thread::Result<()> {
+        self.gate.stop();
+        self.handle.take().map_or(Ok(()), JoinHandle::join)
+    }
+}
+
+impl Drop for PolicyThread {
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
+}
+
+/// Every thread a [`Gateway`] or a [`crate::GatewayCluster`] runs: one
+/// decode pool serving all of its shards' (channel, SF) streams and, if
+/// any shard runs the adaptive policy, one policy thread ticking each
+/// such shard's own ladder. Both are running when [`Runtime::spawn`]
+/// returns; nothing is spawned later.
+///
+/// Dropped without [`Runtime::finish`], the runtime stops its threads
+/// without draining: the policy thread is stopped, and each pool thread
+/// exits after its current turn. Every thread is joined before the drop
+/// returns, and nothing is flushed.
+pub(crate) struct Runtime {
+    pool: DecodePool<Stream>,
+    policy: Option<PolicyThread>,
+}
+
+impl Runtime {
+    /// Build one shard per validated configuration, in order, and spawn
+    /// the threads serving them all: a pool of `min(streams, threads)`
+    /// threads (at least one) and, if any shard is adaptive, the policy
+    /// thread. The shards share the first configuration's idle timeout
+    /// and policy tick; a cluster derives every shard's from one base
+    /// configuration.
+    pub(crate) fn spawn(configs: &[GatewayConfig], threads: usize) -> (Self, Vec<Shard>) {
+        let OverloadConfig {
+            idle_timeout, tick, ..
+        } = configs[0].overload;
+        let n_streams = configs
+            .iter()
+            .map(|c| c.channelizer.n_channels() * c.sfs.len())
+            .sum();
+        let mut streams = Vec::with_capacity(n_streams);
+        let mut ladders = Vec::new();
+        let mut shards = Vec::with_capacity(configs.len());
+        for config in configs {
+            let (shard, ladder) = Shard::new(config, &mut streams);
+            ladders.extend(ladder);
+            shards.push(shard);
+        }
+        let threads = threads.min(streams.len());
+        let pool = DecodePool::spawn(streams, threads, idle_timeout, "gw-decode");
+        let policy = (!ladders.is_empty()).then(|| PolicyThread::spawn(ladders, tick));
+        (Self { pool, policy }, shards)
+    }
+
+    /// End of stream for every shard: stop the control plane, end each
+    /// shard's input ([`Shard::end_input`]), then drain the pool once:
+    /// every stream decodes its backlog and flushes, and the pool threads
+    /// are joined. Each shard's sink then holds its remaining packets.
+    pub(crate) fn finish(&mut self, shards: &mut [Shard]) {
+        if let Some(policy) = &mut self.policy {
+            policy.stop().expect("gateway policy thread panicked");
+        }
+        for shard in shards.iter_mut() {
+            shard.end_input(self);
+        }
+        self.pool.finish();
+    }
+}
+
+/// One gateway's front end: its channelizer, and the queues, control
+/// mailboxes, sink and telemetry of its (channel, SF) streams. The
+/// streams themselves decode on the [`Runtime`] that built the shard.
+pub(crate) struct Shard {
     channelizer: Channelizer,
     /// One queue per worker, in [`GatewayConfig::workers`] order.
     queues: Vec<Arc<ChunkQueue>>,
@@ -534,10 +656,6 @@ pub struct Gateway {
     worker_channel: Vec<usize>,
     /// Per-worker control mailboxes (shared with the policy thread).
     controls: Vec<Arc<WorkerControl>>,
-    /// The threads decoding every stream.
-    pool: DecodePool<Stream>,
-    policy_gate: Arc<StopGate>,
-    policy_handle: Option<JoinHandle<()>>,
     sink: Arc<PacketSink>,
     stats: Arc<GatewayStats>,
     /// Channel-stream samples produced so far, per channel.
@@ -545,35 +663,22 @@ pub struct Gateway {
     /// Deepest below-watermark reach of the release stream, wideband
     /// samples (largest worker receiver holdback).
     release_slack: u64,
+    /// Pool index of the shard's first stream; worker `i` is pool task
+    /// `first + i`.
+    first: usize,
 }
 
-impl Gateway {
-    /// Validate the configuration, spawn the decode pool —
-    /// `min(workers, cores)` threads serving every (channel, SF) stream —
-    /// and, under the adaptive policy, the control thread, and return a
-    /// ready gateway. An invalid configuration is rejected here with a
-    /// typed [`ConfigError`] naming the offending parameters — no thread
-    /// is spawned and nothing panics.
-    pub fn new(config: GatewayConfig) -> Result<Self, ConfigError> {
-        Self::with_pool_size(config, available_cores())
-    }
-
-    /// [`Gateway::new`] with a decode pool of `min(workers, threads)`
-    /// threads (at least one).
-    pub(crate) fn with_pool_size(
-        mut config: GatewayConfig,
-        threads: usize,
-    ) -> Result<Self, ConfigError> {
-        config.validate()?;
+impl Shard {
+    /// Build the front end of one validated configuration, appending its
+    /// decode streams to `streams` (the runtime's pool tasks), and, under
+    /// the adaptive policy, its ladder.
+    fn new(config: &GatewayConfig, streams: &mut Vec<Stream>) -> (Self, Option<ShardLadder>) {
         // Under the adaptive ladder, a configured SIC stage becomes the
         // boost rung: workers start without it and earn it through
         // recovery steps, so residual passes only ever run with headroom.
         // (Under drop-oldest there is no controller, so the base config —
         // SIC included — applies unconditionally.)
         let adaptive = config.overload.policy == OverloadPolicy::Adaptive;
-        if adaptive && config.cic.sic.enabled() {
-            config.overload.sic_boost = true;
-        }
         let workers = config.workers();
         let stats = Arc::new(GatewayStats::new(&workers));
         let channelizer = Channelizer::new(config.channelizer.clone());
@@ -618,10 +723,10 @@ impl Gateway {
             stats.clone(),
         ));
 
+        let first = streams.len();
         let mut queues = Vec::with_capacity(workers.len());
         let mut worker_channel = Vec::with_capacity(workers.len());
         let mut controls = Vec::with_capacity(workers.len());
-        let mut streams = Vec::with_capacity(workers.len());
         for ((idx, &(channel, sf)), sr) in workers.iter().enumerate().zip(receivers) {
             let wstats = stats.worker(idx);
             let queue = Arc::new(ChunkQueue::new(config.queue_capacity, wstats.clone()));
@@ -647,54 +752,38 @@ impl Gateway {
             worker_channel.push(channel);
             controls.push(control);
         }
-        let pool = DecodePool::spawn(
-            streams,
-            threads.min(workers.len()),
-            config.overload.idle_timeout,
-            "gw-decode",
-        );
 
-        let policy_gate = Arc::new(StopGate::new());
-        let policy_handle = if config.overload.policy == OverloadPolicy::Adaptive {
+        let ladder = adaptive.then(|| {
             let worker_sfs: Vec<u8> = workers.iter().map(|&(_, sf)| sf).collect();
-            let wstats: Vec<Arc<WorkerStats>> =
-                (0..workers.len()).map(|i| stats.worker(i)).collect();
-            let cfg = config.overload.clone();
-            let capacity = config.queue_capacity;
-            let ctrls = controls.clone();
-            let gstats = stats.clone();
-            let gate = policy_gate.clone();
-            Some(
-                std::thread::Builder::new()
-                    .name("gw-policy".into())
-                    .spawn(move || {
-                        policy_loop(cfg, worker_sfs, capacity, ctrls, gstats, wstats, gate)
-                    })
-                    .expect("spawn gateway policy thread"),
-            )
-        } else {
-            None
-        };
-
-        Ok(Self {
+            let overload = OverloadConfig {
+                sic_boost: config.overload.sic_boost || config.cic.sic.enabled(),
+                ..config.overload.clone()
+            };
+            ShardLadder {
+                ctl: OverloadController::new(overload, &worker_sfs),
+                queue_capacity: config.queue_capacity,
+                controls: controls.clone(),
+                stats: stats.clone(),
+                wstats: (0..workers.len()).map(|i| stats.worker(i)).collect(),
+            }
+        });
+        let shard = Self {
             channelizer,
             queues,
             worker_channel,
             controls,
-            pool,
-            policy_gate,
-            policy_handle,
             sink,
             stats,
             produced: vec![0; config.channelizer.n_channels()],
             release_slack,
-        })
+            first,
+        };
+        (shard, ladder)
     }
 
-    /// Feed a chunk of wideband samples. Never blocks: overload is
-    /// absorbed by the degradation ladder and, at the last resort, the
-    /// counted drop-oldest queues.
-    pub fn push(&mut self, samples: &[Cf32]) {
+    /// Channelize a chunk of wideband samples and hand each channel's
+    /// output to its streams on `runtime`'s pool.
+    pub(crate) fn push(&mut self, runtime: &Runtime, samples: &[Cf32]) {
         self.stats
             .samples_in
             .fetch_add(samples.len() as u64, Ordering::Relaxed);
@@ -702,12 +791,12 @@ impl Gateway {
         let t0 = Instant::now();
         let outs = self.channelizer.process(samples);
         self.stats.channelize.record(t0.elapsed());
-        self.dispatch(outs);
+        self.dispatch(runtime, outs);
     }
 
     /// Fan channelizer output out to every worker of its channel and
     /// wake those streams in the pool.
-    fn dispatch(&mut self, outs: Vec<Vec<Cf32>>) {
+    fn dispatch(&mut self, runtime: &Runtime, outs: Vec<Vec<Cf32>>) {
         let fed: Vec<bool> = outs.iter().map(|out| !out.is_empty()).collect();
         for (channel, out) in outs.into_iter().enumerate() {
             if out.is_empty() {
@@ -725,14 +814,112 @@ impl Gateway {
                 }
             }
         }
-        let worker_channel = &self.worker_channel;
-        self.pool
-            .wake((0..worker_channel.len()).filter(|&idx| fed[worker_channel[idx]]));
+        let (first, worker_channel) = (self.first, &self.worker_channel);
+        runtime.pool.wake(
+            (0..worker_channel.len())
+                .filter(|&idx| fed[worker_channel[idx]])
+                .map(|idx| first + idx),
+        );
+    }
+
+    /// End of input: restore every worker to full effort so the drain
+    /// decodes the backlog instead of shedding it, flush the
+    /// channelizer's group-delay tail to the workers (a packet ending at
+    /// capture end keeps its final symbols), and close every queue.
+    fn end_input(&mut self, runtime: &Runtime) {
+        for c in &self.controls {
+            // Shed and degraded workers come back to full effort; a
+            // granted SIC boost stays — only heat revokes it, and with
+            // the stream ended there is no load left to protect.
+            if c.rung() != SIC_RUNG {
+                c.set_rung(0);
+            }
+        }
+        let t0 = Instant::now();
+        let tail = self.channelizer.flush();
+        self.stats.channelize.record(t0.elapsed());
+        self.dispatch(runtime, tail);
+        for q in &self.queues {
+            q.close();
+        }
+    }
+
+    /// Packets released by the sink since the last call, time-ordered.
+    pub(crate) fn poll_packets(&self) -> Vec<GatewayPacket> {
+        self.sink.take_released()
+    }
+
+    /// Live telemetry handle.
+    pub(crate) fn stats(&self) -> Arc<GatewayStats> {
+        self.stats.clone()
+    }
+
+    /// The sink's current release horizon, wideband samples.
+    pub(crate) fn release_horizon(&self) -> u64 {
+        self.sink.horizon()
+    }
+
+    /// Deepest legitimate below-watermark reach of the release stream,
+    /// wideband samples — the largest worker receiver holdback. Sizes
+    /// the cross-shard duplicate window at the cluster merge tier.
+    pub(crate) fn release_slack(&self) -> u64 {
+        self.release_slack
+    }
+
+    /// The merge point, for tests that drive releases directly.
+    #[cfg(test)]
+    pub(crate) fn sink(&self) -> &PacketSink {
+        &self.sink
+    }
+}
+
+/// A running multi-channel gateway: one front end (channelizer, stream
+/// queues, sink) on a runtime of its own (decode pool and policy
+/// thread). Feed wideband samples with [`Gateway::push`] (any chunk
+/// sizes), collect merged packets with [`Gateway::poll_packets`] or all
+/// at once from [`Gateway::finish`].
+///
+/// Dropped without [`Gateway::finish`], a gateway stops its threads
+/// without draining the backlog: nothing is flushed and no thread
+/// outlives the gateway.
+pub struct Gateway {
+    runtime: Runtime,
+    shard: Shard,
+}
+
+impl Gateway {
+    /// Validate the configuration, spawn the decode pool —
+    /// `min(workers, cores)` threads serving every (channel, SF) stream —
+    /// and, under the adaptive policy, the control thread, and return a
+    /// ready gateway. An invalid configuration is rejected here with a
+    /// typed [`ConfigError`] naming the offending parameters — no thread
+    /// is spawned and nothing panics.
+    pub fn new(config: GatewayConfig) -> Result<Self, ConfigError> {
+        Self::with_pool_size(config, available_cores())
+    }
+
+    /// [`Gateway::new`] with a decode pool of `min(workers, threads)`
+    /// threads (at least one).
+    pub(crate) fn with_pool_size(
+        config: GatewayConfig,
+        threads: usize,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        let (runtime, mut shards) = Runtime::spawn(std::slice::from_ref(&config), threads);
+        let shard = shards.pop().expect("one configuration builds one shard");
+        Ok(Self { runtime, shard })
+    }
+
+    /// Feed a chunk of wideband samples. Never blocks: overload is
+    /// absorbed by the degradation ladder and, at the last resort, the
+    /// counted drop-oldest queues.
+    pub fn push(&mut self, samples: &[Cf32]) {
+        self.shard.push(&self.runtime, samples);
     }
 
     /// Packets released by the sink since the last call, time-ordered.
     pub fn poll_packets(&self) -> Vec<GatewayPacket> {
-        self.sink.take_released()
+        self.shard.poll_packets()
     }
 
     /// Attach the gateway's single non-blocking packet subscription:
@@ -746,32 +933,19 @@ impl Gateway {
     /// [`Gateway::finish`]. Panics if a subscription is already
     /// attached.
     pub fn subscribe(&self, capacity: usize) -> Receiver<GatewayPacket> {
-        self.sink.subscribe(capacity)
+        self.shard.sink.subscribe(capacity)
     }
 
     /// Live telemetry handle (snapshot-readable at any time).
     pub fn stats(&self) -> Arc<GatewayStats> {
-        self.stats.clone()
+        self.shard.stats()
     }
 
     /// The sink's current release horizon, wideband samples: this
     /// gateway's released stream is complete below it. A cluster's
     /// global watermark is the minimum of these across shards.
     pub fn release_horizon(&self) -> u64 {
-        self.sink.horizon()
-    }
-
-    /// The merge point, for tests that drive releases directly.
-    #[cfg(test)]
-    pub(crate) fn sink(&self) -> &PacketSink {
-        &self.sink
-    }
-
-    /// Deepest legitimate below-watermark reach of the release stream,
-    /// wideband samples — the largest worker receiver holdback. Sizes
-    /// the cross-gateway duplicate window at the cluster merge tier.
-    pub fn release_slack(&self) -> u64 {
-        self.release_slack
+        self.shard.release_horizon()
     }
 
     /// End of stream: stop the control plane, restore every worker to
@@ -783,53 +957,14 @@ impl Gateway {
     /// the last [`Gateway::poll_packets`] call) plus a final telemetry
     /// snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
-        self.stop_policy().expect("gateway policy thread panicked");
-        for c in &self.controls {
-            // Shed and degraded workers come back to full effort; a
-            // granted SIC boost stays — only heat revokes it, and with
-            // the stream ended there is no load left to protect.
-            if c.rung() != SIC_RUNG {
-                c.set_rung(0);
-            }
-        }
-        let t0 = Instant::now();
-        let tail = self.channelizer.flush();
-        self.stats.channelize.record(t0.elapsed());
-        self.dispatch(tail);
-        self.close_queues();
-        self.pool.finish();
-        let packets = self.sink.take_released();
-        (packets, self.stats.snapshot())
-    }
-
-    /// Stop and join the policy thread, if it runs.
-    fn stop_policy(&mut self) -> std::thread::Result<()> {
-        self.policy_gate.stop();
-        self.policy_handle.take().map_or(Ok(()), JoinHandle::join)
-    }
-
-    fn close_queues(&self) {
-        for q in &self.queues {
-            q.close();
-        }
-    }
-}
-
-/// A gateway dropped without [`Gateway::finish`] stops its threads:
-/// the policy thread is stopped, the queues close, and the pool threads
-/// exit after their current turn without draining the backlog. Nothing
-/// is flushed and no thread outlives the gateway.
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        let _ = self.stop_policy();
-        self.close_queues();
-        self.pool.abort();
+        self.runtime.finish(std::slice::from_mut(&mut self.shard));
+        (self.shard.poll_packets(), self.shard.stats.snapshot())
     }
 }
 
 /// Cores this process may run on, read once: the query walks cgroup
 /// files on Linux, too slow to repeat for every gateway.
-fn available_cores() -> usize {
+pub(crate) fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
@@ -882,20 +1017,53 @@ mod tests {
         // 8 streams: the pool runs min(8, cores) threads, and the policy
         // thread exists only under the adaptive ladder.
         let gw = Gateway::new(config()).expect("valid config");
-        assert_eq!(gw.pool.threads(), available_cores().min(8));
-        assert!(gw.policy_handle.is_some());
+        assert_eq!(gw.runtime.pool.threads(), available_cores().min(8));
+        assert!(gw.runtime.policy.is_some());
         drop(gw);
 
         let mut cfg = config();
         cfg.overload.policy = OverloadPolicy::DropOldest;
         let gw = Gateway::new(cfg.clone()).expect("valid config");
-        assert_eq!(gw.pool.threads(), available_cores().min(8));
-        assert!(gw.policy_handle.is_none());
+        assert_eq!(gw.runtime.pool.threads(), available_cores().min(8));
+        assert!(gw.runtime.policy.is_none());
         drop(gw);
 
         for (asked, spawned) in [(1, 1), (3, 3), (64, 8), (0, 1)] {
             let gw = Gateway::with_pool_size(cfg.clone(), asked).expect("valid config");
-            assert_eq!(gw.pool.threads(), spawned, "asked for {asked}");
+            assert_eq!(gw.runtime.pool.threads(), spawned, "asked for {asked}");
+        }
+    }
+
+    #[test]
+    fn cluster_shards_share_one_core_sized_pool_and_one_policy_thread() {
+        // 2 shards of 8 streams each: one pool of min(16, cores) threads
+        // serves both, and one policy thread ticks both shards' ladders
+        // under the adaptive policy (none under drop-oldest).
+        use crate::cluster::{ClusterConfig, GatewayCluster};
+
+        let mut base = config();
+        base.channelizer = ChannelizerConfig::uniform(8, 250e3, 500e3, 1e6, 8);
+        for (policy, policy_thread) in [
+            (OverloadPolicy::Adaptive, true),
+            (OverloadPolicy::DropOldest, false),
+        ] {
+            base.overload.policy = policy;
+            let cluster = GatewayCluster::new(ClusterConfig::channel_sharded(base.clone(), 2))
+                .expect("valid layout");
+            let streams: usize = cluster
+                .snapshot()
+                .shards
+                .iter()
+                .map(|s| s.workers.len())
+                .sum();
+            assert_eq!(streams, 16);
+            let runtime = cluster.runtime();
+            assert_eq!(
+                runtime.pool.threads(),
+                available_cores().min(16),
+                "{policy:?}"
+            );
+            assert_eq!(runtime.policy.is_some(), policy_thread, "{policy:?}");
         }
     }
 
@@ -1010,7 +1178,7 @@ mod tests {
         let mut streams = Vec::new();
         for threads in [1, 4] {
             let mut gw = Gateway::with_pool_size(cfg.clone(), threads).expect("valid config");
-            assert_eq!(gw.pool.threads(), threads);
+            assert_eq!(gw.runtime.pool.threads(), threads);
             for (i, chunk) in samples.chunks(7919).enumerate() {
                 // Ragged: every third push split in two.
                 if i % 3 == 0 {
@@ -1073,19 +1241,19 @@ mod tests {
         add_unit_noise(&mut rand::rngs::StdRng::seed_from_u64(3), &mut noise);
         let noise = Arc::new(noise);
         for i in 0..backlog {
-            gw.queues[0].push(Chunk {
+            gw.shard.queues[0].push(Chunk {
                 start: i * noise.len(),
                 samples: noise.clone(),
             });
         }
         let idle_len = 8192;
-        gw.queues[1].push(Chunk {
+        gw.shard.queues[1].push(Chunk {
             start: 0,
             samples: Arc::new(vec![Cf32::new(0.0, 0.0); idle_len]),
         });
-        gw.pool.wake([0, 1]);
+        gw.runtime.pool.wake([0, 1]);
 
-        let delay = gw.channelizer.group_delay_wideband() as u64;
+        let delay = gw.shard.channelizer.group_delay_wideband() as u64;
         let caught_up = idle_len as u64 * plan.decimation as u64 - delay;
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
         while gw.release_horizon() < caught_up {
@@ -1096,7 +1264,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(
-            !gw.queues[0].is_idle(),
+            !gw.shard.queues[0].is_idle(),
             "the idle turn waited for the busy sibling's backlog to drain"
         );
     }
@@ -1147,7 +1315,7 @@ mod tests {
         let mut cfg = config();
         cfg.overload.policy = OverloadPolicy::DropOldest; // no controller to un-shed
         let mut gw = Gateway::new(cfg).expect("valid config");
-        for c in &gw.controls {
+        for c in &gw.shard.controls {
             c.set_rung(SHED_RUNG);
         }
         for _ in 0..8 {
@@ -1156,7 +1324,7 @@ mod tests {
         // `finish` restores full effort before draining, so let the pool
         // discard the backlog at the shed rung first.
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
-        while gw.queues.iter().any(|q| !q.is_empty()) {
+        while gw.shard.queues.iter().any(|q| !q.is_empty()) {
             assert!(Instant::now() < deadline, "shed streams stopped consuming");
             std::thread::yield_now();
         }
@@ -1254,6 +1422,46 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn degenerate_channelizer_plans_are_config_errors() {
+        // Regression: `validate` accepted these hand-built plans, which
+        // then panicked — in `lowpass_taps` inside `Gateway::new`, or on
+        // the first push for a zero decimation — in a single gateway and
+        // in every cluster shard alike.
+        use crate::cluster::{ClusterConfig, ClusterError, GatewayCluster};
+
+        type Spoil = fn(&mut ChannelizerConfig);
+        let cases: [(&str, Spoil); 6] = [
+            ("decimation 0", |c| c.decimation = 0),
+            ("num_taps 0", |c| c.num_taps = 0),
+            ("cutoff 0", |c| c.cutoff_hz = 0.0),
+            ("cutoff NaN", |c| c.cutoff_hz = f64::NAN),
+            ("cutoff at Nyquist", |c| {
+                c.cutoff_hz = c.wideband_rate_hz / 2.0
+            }),
+            ("infinite wideband rate", |c| {
+                c.wideband_rate_hz = f64::INFINITY
+            }),
+        ];
+        for (name, spoil) in cases {
+            let mut cfg = config();
+            spoil(&mut cfg.channelizer);
+            match Gateway::new(cfg.clone()) {
+                Err(ConfigError::InvalidChannelizer(_)) => {}
+                Err(other) => panic!("{name}: want InvalidChannelizer, got {other:?}"),
+                Ok(_) => panic!("{name}: the gateway accepted the plan"),
+            }
+            match GatewayCluster::new(ClusterConfig::channel_sharded(cfg, 2)) {
+                Err(ClusterError::Shard {
+                    source: ConfigError::InvalidChannelizer(_),
+                    ..
+                }) => {}
+                Err(other) => panic!("{name}: want a shard's InvalidChannelizer, got {other:?}"),
+                Ok(_) => panic!("{name}: the cluster accepted the plan"),
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The decode pool: a fixed set of threads serving every (channel, SF)
-//! stream of one gateway.
+//! stream of one gateway, or of every shard of one cluster.
 //!
 //! A gateway decodes `channels × SFs` streams, but a host has only so
 //! many cores. A thread per stream oversubscribes the CPU and costs one

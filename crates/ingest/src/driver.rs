@@ -25,7 +25,7 @@
 //!   `first_sample`, so a sender that kept counting through the outage
 //!   produces an ordinary gap.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,13 +56,29 @@ impl Default for IngestConfig {
     }
 }
 
+/// The driver runs until its source ends or its state leaves `RUN`.
+const RUN: u8 = 0;
+/// End at the next source event and drain through `Gateway::finish`.
+const STOP: u8 = 1;
+/// End at the next source event and drop the gateway undrained.
+const ABANDON: u8 = 2;
+
+/// What the driver thread hands back: the final drain, unless abandoned.
+type Drained = Option<(Vec<GatewayPacket>, GatewaySnapshot)>;
+
 /// Handle to a running ingest driver: a non-blocking view of the decoded
 /// packet stream, live telemetry, and the final drain.
+///
+/// Dropped without [`PacketSubscription::join`], the subscription stops
+/// the driver at its next source event and joins it; the driver drops
+/// its gateway undrained, which stops the gateway's threads too.
 pub struct PacketSubscription {
     rx: Receiver<GatewayPacket>,
     stats: Arc<GatewayStats>,
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<(Vec<GatewayPacket>, GatewaySnapshot)>,
+    /// `RUN`, `STOP` or `ABANDON`, shared with the driver thread.
+    state: Arc<AtomicU8>,
+    /// The driver thread; `None` once joined.
+    handle: Option<JoinHandle<Drained>>,
 }
 
 impl PacketSubscription {
@@ -84,7 +100,7 @@ impl PacketSubscription {
     /// Ask the driver to shut down at the next source event; use
     /// [`PacketSubscription::join`] to collect the drain.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.state.store(STOP, Ordering::Release);
     }
 
     /// Wait for the driver to finish (end of stream or [`stop`]): drains
@@ -93,11 +109,24 @@ impl PacketSubscription {
     /// final drain, preserving release order — plus the final snapshot.
     ///
     /// [`stop`]: PacketSubscription::stop
-    pub fn join(self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
-        let (tail, snapshot) = self.handle.join().expect("ingest driver panicked");
+    pub fn join(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
+        let (tail, snapshot) = self
+            .handle
+            .take()
+            .and_then(|h| h.join().expect("ingest driver panicked"))
+            .expect("only a dropped subscription abandons its driver");
         let mut packets: Vec<GatewayPacket> = self.rx.try_iter().collect();
         packets.extend(tail);
         (packets, snapshot)
+    }
+}
+
+impl Drop for PacketSubscription {
+    fn drop(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            self.state.store(ABANDON, Ordering::Release);
+            let _ = handle.join();
+        }
     }
 }
 
@@ -114,18 +143,18 @@ impl IngestDriver {
     ) -> PacketSubscription {
         let rx = gateway.subscribe(cfg.subscription_capacity);
         let stats = gateway.stats();
-        let stop = Arc::new(AtomicBool::new(false));
+        let state = Arc::new(AtomicU8::new(RUN));
         let thread_stats = stats.clone();
-        let thread_stop = stop.clone();
+        let thread_state = state.clone();
         let handle = std::thread::Builder::new()
             .name("gw-ingest".into())
-            .spawn(move || drive(gateway, source, cfg, thread_stats, thread_stop))
+            .spawn(move || drive(gateway, source, cfg, thread_stats, thread_state))
             .expect("spawn ingest driver thread");
         PacketSubscription {
             rx,
             stats,
-            stop,
-            handle,
+            state,
+            handle: Some(handle),
         }
     }
 }
@@ -148,14 +177,14 @@ fn drive(
     mut source: impl IqSource,
     cfg: IngestConfig,
     stats: Arc<GatewayStats>,
-    stop: Arc<AtomicBool>,
-) -> (Vec<GatewayPacket>, GatewaySnapshot) {
+    state: Arc<AtomicU8>,
+) -> Drained {
     // Next expected sequence number / stream position, in the *sender's*
     // coordinates. `None` until the first frame anchors them.
     let mut expected_seq: Option<u64> = None;
     let mut expected_pos: Option<u64> = None;
     loop {
-        if stop.load(Ordering::Acquire) {
+        if state.load(Ordering::Acquire) != RUN {
             break;
         }
         match source.next_event() {
@@ -207,5 +236,6 @@ fn drive(
             IqEvent::End => break,
         }
     }
-    gw.finish()
+    // Abandoned: dropping the gateway stops its threads without a drain.
+    (state.load(Ordering::Acquire) != ABANDON).then(|| gw.finish())
 }

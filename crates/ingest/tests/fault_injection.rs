@@ -330,3 +330,31 @@ fn stop_interrupts_a_live_source() {
     assert!(packets.is_empty());
     assert_eq!(snap.samples_in, 0);
 }
+
+#[test]
+fn dropping_a_subscription_stops_every_thread() {
+    // Regression: `PacketSubscription` had no `Drop`. Dropped without
+    // `stop` + `join`, its driver thread looped on the source forever and
+    // kept the gateway's pool threads alive, each holding the stats.
+    struct Endless(u64);
+    impl IqSource for Endless {
+        fn next_event(&mut self) -> IqEvent {
+            std::thread::sleep(Duration::from_millis(1));
+            self.0 += 1;
+            IqEvent::Frame(IqFrame {
+                seq: self.0,
+                first_sample: self.0 * 4096,
+                samples: vec![Cf32::new(0.0, 0.0); 4096],
+            })
+        }
+    }
+    let gw = gateway();
+    let stats = gw.stats();
+    let sub = IngestDriver::spawn(gw, Endless(0), IngestConfig::default());
+    drop(sub);
+    assert_eq!(
+        std::sync::Arc::strong_count(&stats),
+        1,
+        "an ingest or gateway thread outlived the drop"
+    );
+}

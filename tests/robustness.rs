@@ -8,6 +8,7 @@ use cic_repro::lora_baselines::{
 };
 use cic_repro::lora_channel::{add_unit_noise, amplitude_for_snr, superpose, Emission};
 use lora_dsp::{Cf32, Channelizer, ChannelizerConfig};
+use lora_gateway::{ClusterConfig, Gateway, GatewayCluster, GatewayConfig, OverloadConfig};
 use lora_phy::{CodeRate, LoraParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,6 +217,45 @@ fn streaming_garbage_chunks_no_panic() {
         }
         assert!(s.flush().iter().all(|p| !p.ok()), "{name}: flush decoded");
         let _ = ch.flush();
+    }
+
+    // The same captures through the gateway runtime — one gateway and a
+    // two-shard cluster, adaptive, with the SIC boost rung configured —
+    // in ragged pushes that include empty ones.
+    let gateway_config = || GatewayConfig {
+        channelizer: ChannelizerConfig::uniform(4, 250e3, 500e3, 1e6, 4),
+        oversampling: 4,
+        sfs: vec![7, 9],
+        code_rate: CodeRate::Cr45,
+        payload_len: 16,
+        cic: CicConfig {
+            sic: SicConfig::hybrid(),
+            ..CicConfig::default()
+        },
+        queue_capacity: 64,
+        overload: OverloadConfig::default(),
+    };
+    for (name, buf) in non_finite_captures(60_000, 6) {
+        let mut gw = Gateway::new(gateway_config()).expect("valid config");
+        let mut cluster = GatewayCluster::new(ClusterConfig::channel_sharded(gateway_config(), 2))
+            .expect("valid layout");
+        let mut pos = 0;
+        for len in [0usize, 1, 7, 1000, 0, 50_000, 8_992] {
+            let chunk = &buf[pos..pos + len];
+            pos += len;
+            gw.push(chunk);
+            cluster.push(chunk);
+        }
+        let (packets, _) = gw.finish();
+        assert!(
+            packets.iter().all(|p| !p.packet.ok()),
+            "{name}: the gateway decoded a packet"
+        );
+        let (packets, _) = cluster.finish();
+        assert!(
+            packets.iter().all(|p| !p.packet.ok()),
+            "{name}: the cluster decoded a packet"
+        );
     }
 }
 
