@@ -3,9 +3,9 @@
 //! time-ordered, duplicate-suppressed packet stream.
 //!
 //! The paper evaluates one 8-channel gateway; a dense deployment runs
-//! many front ends whose coverage overlaps, feeding a coordinator that
-//! must merge, order, and deduplicate what they hear. This module is
-//! that coordinator:
+//! many front ends whose coverage overlaps, and what they hear must come
+//! out merged, ordered and deduplicated. A cluster does that with the
+//! machinery of one gateway:
 //!
 //! * **Shard routing** — every shard is a gateway front end whose
 //!   channelizer layout is the base plan restricted to that shard's
@@ -13,38 +13,33 @@
 //!   shard's per-channel streams bit-identical to the wide gateway's, so
 //!   a wideband capture broadcast to all shards ([`GatewayCluster::push`])
 //!   decodes exactly as the wide gateway would.
-//! * **Global watermark** — each shard's sink already maintains a
-//!   release horizon (minimum over its workers' watermarks, what
-//!   [`Gateway::release_horizon`] reports); the cluster generalises the
-//!   same rule one level up: packets merge into the global stream only
-//!   once `min` over shard horizons covers them, so the merged stream is
-//!   globally non-decreasing in `start_wideband` without stalling any
-//!   shard.
+//! * **One sink** — the shards are front ends on one runtime, as a single
+//!   [`Gateway`] is one front end on its own. Every shard's streams report
+//!   into the runtime's one sink on *global* channel indices, so its
+//!   release watermark (what [`GatewayCluster::global_watermark`]
+//!   reports) is the minimum over every stream of every shard, and the
+//!   merged stream is globally non-decreasing in `start_wideband` without
+//!   stalling any shard.
 //! * **Cross-gateway dedup** — shards with overlapping coverage (same
 //!   channel in two band slices, or the same band decoded under split SF
-//!   sets) each release their own copy of one transmission. A shared
-//!   [`DedupWindow`] over *global* channel indices suppresses the extra
-//!   copies at the merge point, counting them separately from the
-//!   in-gateway suppressions.
+//!   sets) each decode their own copy of one transmission. The sink's
+//!   duplicate window, keyed on global channel indices, suppresses the
+//!   extra copies, and counts them apart from each shard's in-gateway
+//!   suppressions because it knows which shard reported each packet.
 //! * **Telemetry aggregation** — [`ClusterSnapshot`] carries each
 //!   shard's [`GatewaySnapshot`] plus their [`GatewaySnapshot::merged`]
-//!   aggregate and the merge tier's own counters.
+//!   aggregate and the sink's cross-shard counters.
 //!
 //! Shards run inline: `push` channelizes the chunk into each shard in
-//! turn on the caller's thread. The shards share one runtime, as a
-//! single [`Gateway`] has one of its own: one decode pool of
-//! `min(streams, cores)` threads serves every shard's streams, and under
-//! the adaptive policy one policy thread ticks each shard's own ladder.
+//! turn on the caller's thread. One decode pool of `min(streams, cores)`
+//! threads serves every shard's streams, and under the adaptive policy
+//! one policy thread ticks each shard's own ladder.
 //!
 //! [`Gateway`]: crate::Gateway
-//! [`Gateway::release_horizon`]: crate::Gateway::release_horizon
-
-use std::collections::VecDeque;
 
 use lora_dsp::Cf32;
 
-use crate::dedup::{DedupEntry, DedupWindow};
-use crate::gateway::{available_cores, ConfigError, GatewayConfig, Runtime, Shard};
+use crate::gateway::{available_cores, ConfigError, GatewayConfig, Runtime};
 use crate::sink::GatewayPacket;
 use crate::stats::GatewaySnapshot;
 
@@ -52,7 +47,7 @@ use crate::stats::GatewaySnapshot;
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Global channel indices (into the base plan) this shard digitises
-    /// and decodes. Shards may overlap — the merge tier deduplicates.
+    /// and decodes. Shards may overlap — the sink deduplicates.
     pub channels: Vec<usize>,
     /// Spreading factors this shard decodes; `None` inherits the base
     /// configuration's set. Disjoint SF splits over one band are
@@ -217,11 +212,12 @@ pub struct ClusterSnapshot {
     pub shards: Vec<GatewaySnapshot>,
     /// The shard snapshots aggregated ([`GatewaySnapshot::merged`]).
     pub merged: GatewaySnapshot,
-    /// Duplicates suppressed *at the merge tier* — the same transmission
-    /// released by more than one shard under overlapping coverage
-    /// (distinct from each shard's in-gateway `duplicates_suppressed`).
+    /// Packets a shard released that another shard had released under
+    /// overlapping coverage (distinct from each shard's in-gateway
+    /// `duplicates_suppressed`).
     pub cross_gateway_duplicates: u64,
-    /// Packets accepted into the merged global stream.
+    /// Packets accepted into the merged global stream; with the
+    /// cross-gateway duplicates, they sum to the shards' releases.
     pub packets_merged: u64,
     /// The global release watermark, wideband samples: the merged stream
     /// is complete below it (`u64::MAX` after `finish`).
@@ -234,22 +230,9 @@ pub struct ClusterSnapshot {
 /// thread it runs without draining, as a [`Gateway`](crate::Gateway)
 /// does.
 pub struct GatewayCluster {
-    /// The threads decoding every shard's streams.
+    /// Every shard's front end, the one sink and the threads decoding
+    /// every shard's streams.
     runtime: Runtime,
-    /// The shard front ends, pushed inline in shard order.
-    shards: Vec<Shard>,
-    /// Shard → local channel index → global channel index.
-    channel_maps: Vec<Vec<usize>>,
-    /// Cross-shard duplicate window, over global channel indices.
-    dedup: DedupWindow,
-    /// Shard releases remapped to global channels, waiting for the
-    /// global watermark to cover them.
-    pending: Vec<GatewayPacket>,
-    /// Merged, ordered, deduplicated, awaiting collection.
-    released: VecDeque<GatewayPacket>,
-    cross_gateway_duplicates: u64,
-    packets_merged: u64,
-    global_watermark: u64,
 }
 
 impl GatewayCluster {
@@ -260,31 +243,11 @@ impl GatewayCluster {
     /// caller's thread.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate()?;
-        let configs: Vec<GatewayConfig> = (0..config.shards.len())
-            .map(|s| config.shard_config(s))
+        let plans: Vec<(GatewayConfig, Vec<usize>)> = (0..config.shards.len())
+            .map(|s| (config.shard_config(s), config.shards[s].channels.clone()))
             .collect();
-        let max_sf = configs
-            .iter()
-            .flat_map(|c| c.sfs.iter().copied())
-            .max()
-            .expect("validated: non-empty sfs");
-        let (runtime, shards) = Runtime::spawn(&configs, available_cores());
-        let channel_maps = config.shards.iter().map(|p| p.channels.clone()).collect();
-        // A shard's release can trail its own horizon by its release
-        // slack (receiver holdback); the cross-shard window must retain
-        // accepted packets over the largest such reach.
-        let release_slack = shards.iter().map(Shard::release_slack).max().unwrap_or(0);
-        let chip_wideband = config.base.oversampling * config.base.channelizer.decimation;
         Ok(Self {
-            runtime,
-            shards,
-            channel_maps,
-            dedup: DedupWindow::new(chip_wideband, max_sf, release_slack),
-            pending: Vec::new(),
-            released: VecDeque::new(),
-            cross_gateway_duplicates: 0,
-            packets_merged: 0,
-            global_watermark: 0,
+            runtime: Runtime::spawn(&plans, available_cores()),
         })
     }
 
@@ -297,7 +260,7 @@ impl GatewayCluster {
 
     /// Number of shard gateways.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.runtime.shards().len()
     }
 
     /// The threads serving every shard, for tests that count them.
@@ -306,145 +269,51 @@ impl GatewayCluster {
         &self.runtime
     }
 
-    /// Broadcast a wideband chunk to every shard in turn (each extracts
-    /// only its own band slice and hands it to the shared decode pool)
-    /// and advance the merge.
+    /// Broadcast a wideband chunk to every shard in turn: each extracts
+    /// only its own band slice and hands it to the shared decode pool.
     pub fn push(&mut self, samples: &[Cf32]) {
-        for shard in &mut self.shards {
-            shard.push(&self.runtime, samples);
-        }
-        self.merge();
+        self.runtime.push(samples);
     }
 
-    /// The global release watermark: minimum over shard release
-    /// horizons at the last merge. The merged stream is complete below
-    /// it.
+    /// The global release watermark, wideband samples: the sink's
+    /// horizon over every shard's streams. The merged stream is complete
+    /// below it.
     pub fn global_watermark(&self) -> u64 {
-        self.global_watermark
+        self.runtime.release_horizon()
     }
 
     /// Merged packets released since the last call, globally
     /// time-ordered.
     pub fn poll_packets(&mut self) -> Vec<GatewayPacket> {
-        self.merge();
-        std::mem::take(&mut self.released).into_iter().collect()
+        self.runtime.poll_packets()
     }
 
     /// Live cluster telemetry.
     pub fn snapshot(&self) -> ClusterSnapshot {
         let shards: Vec<GatewaySnapshot> = self
-            .shards
+            .runtime
+            .shards()
             .iter()
             .map(|shard| shard.stats().snapshot())
             .collect();
         let merged = GatewaySnapshot::merged(&shards);
+        let (packets_merged, cross_gateway_duplicates) = self.runtime.merge_counts();
         ClusterSnapshot {
             shards,
             merged,
-            cross_gateway_duplicates: self.cross_gateway_duplicates,
-            packets_merged: self.packets_merged,
-            global_watermark: self.global_watermark,
+            cross_gateway_duplicates,
+            packets_merged,
+            global_watermark: self.global_watermark(),
         }
-    }
-
-    /// Collect fresh shard releases (remapped onto global channel
-    /// indices), recompute the global watermark, and release everything
-    /// it covers.
-    fn merge(&mut self) {
-        self.merge_with(|_| {});
-    }
-
-    /// [`GatewayCluster::merge`], running `between` after the shard
-    /// horizons are read and before their releases are collected — the
-    /// window in which the pool threads can release concurrently.
-    fn merge_with(&mut self, between: impl FnOnce(&[Shard])) {
-        // Horizons *before* releases: the pool threads release packets
-        // concurrently, and everything a horizon covers is already in
-        // that shard's release buffer when the horizon is read. Polling
-        // first would miss a packet released between the poll and the
-        // horizon read, which would then arrive below the advanced
-        // global watermark after later packets were handed out.
-        let horizon = self
-            .shards
-            .iter()
-            .map(Shard::release_horizon)
-            .min()
-            .unwrap_or(u64::MAX);
-        between(&self.shards);
-        self.collect_releases();
-        // Monotone: each shard horizon only moves forward.
-        self.global_watermark = self.global_watermark.max(horizon);
-        self.release_due();
-    }
-
-    /// Move every shard's fresh releases, remapped onto global channel
-    /// indices, into the pending set.
-    fn collect_releases(&mut self) {
-        for (shard, map) in self.shards.iter().zip(&self.channel_maps) {
-            for mut p in shard.poll_packets() {
-                p.channel = map[p.channel];
-                self.pending.push(p);
-            }
-        }
-    }
-
-    /// Release every pending packet the global watermark covers, in
-    /// `(start, channel, sf)` order, through the cross-shard dedup
-    /// window. Mirrors the sink's drain: a shard's late (SIC) release
-    /// below the already-advanced watermark is inserted in order rather
-    /// than appended.
-    fn release_due(&mut self) {
-        let horizon = self.global_watermark;
-        if self.pending.iter().all(|p| p.start_wideband > horizon) {
-            return;
-        }
-        let mut due = Vec::new();
-        let mut keep = Vec::new();
-        for p in self.pending.drain(..) {
-            if p.start_wideband <= horizon {
-                due.push(p);
-            } else {
-                keep.push(p);
-            }
-        }
-        self.pending = keep;
-        due.sort_by_key(|p| (p.start_wideband, p.channel, p.sf));
-        for p in due {
-            if self
-                .dedup
-                .is_duplicate(p.channel, p.sf, p.start_wideband, &p.packet.payload)
-            {
-                self.cross_gateway_duplicates += 1;
-                continue;
-            }
-            self.dedup.accept(DedupEntry {
-                channel: p.channel,
-                sf: p.sf,
-                start_wideband: p.start_wideband,
-                payload: p.packet.payload.clone(),
-            });
-            self.packets_merged += 1;
-            let key = (p.start_wideband, p.channel, p.sf);
-            let at = self
-                .released
-                .partition_point(|q| (q.start_wideband, q.channel, q.sf) <= key);
-            self.released.insert(at, p);
-        }
-        self.dedup.prune(horizon);
     }
 
     /// End of stream: end every shard's input (flushing its channelizer
-    /// tail), drain the shared pool once, run the final merge with the
-    /// watermark fully open, and return the remaining merged packets
-    /// plus the final cluster snapshot.
+    /// tail), drain the shared pool once, and return the remaining merged
+    /// packets plus the final cluster snapshot, whose watermark is fully
+    /// open.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, ClusterSnapshot) {
-        self.runtime.finish(&mut self.shards);
-        self.collect_releases();
-        self.global_watermark = u64::MAX;
-        self.release_due();
-        let snapshot = self.snapshot();
-        let packets = std::mem::take(&mut self.released).into_iter().collect();
-        (packets, snapshot)
+        let packets = self.runtime.finish();
+        (packets, self.snapshot())
     }
 }
 
@@ -455,6 +324,8 @@ mod tests {
     use cic::CicConfig;
     use lora_dsp::ChannelizerConfig;
     use lora_phy::params::CodeRate;
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn base() -> GatewayConfig {
@@ -592,67 +463,54 @@ mod tests {
         for _ in 0..4 {
             cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
         }
-        let stats: Vec<_> = cluster.shards.iter().map(Shard::stats).collect();
+        let stats: Vec<_> = cluster.runtime.shards().iter().map(|s| s.stats()).collect();
         drop(cluster);
         for (shard, s) in stats.iter().enumerate() {
             assert_eq!(Arc::strong_count(s), 1, "shard {shard} kept a thread alive");
         }
     }
 
-    fn released(channel: usize, start: u64, payload: &[u8]) -> GatewayPacket {
-        GatewayPacket {
-            channel,
-            sf: 7,
-            start_wideband: start,
-            packet: cic::DecodedPacket {
-                detection: cic::Detection {
-                    frame_start: start as usize,
-                    cfo_bins: 0.0,
-                    peak_power: 1.0,
-                    score: 10.0,
-                },
-                symbols: vec![],
-                payload: Some(payload.to_vec()),
-                truncated_symbols: 0,
-                contested_symbols: 0,
-                sic_pass: 0,
-            },
-        }
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Release `packet` from `shard`'s sink and move every one of its
-    /// watermarks to `watermark`, as the pool threads would.
-    fn release_through(shard: &Shard, packet: GatewayPacket, watermark: u64) {
-        shard.sink().report(vec![packet]);
-        for w in 0..shard.stats().snapshot().workers.len() {
-            shard.sink().set_watermark(w, watermark);
+        /// Arbitrary layouts over the 4-channel base: no shards, empty
+        /// shards, out-of-range and repeated channels, empty or
+        /// out-of-range SF sets. Each comes back as a typed error or as a
+        /// cluster that runs and finishes with its watermark open, never
+        /// as a panic. Draws lean towards valid shards, so that a fair
+        /// share of cases gets past validation and builds.
+        #[test]
+        fn arbitrary_layouts_are_typed_errors_or_run_to_the_end(
+            n_shards in prop_oneof![0usize..5, 1usize..3, 1usize..3],
+            channels in collection::vec(
+                prop_oneof![
+                    collection::vec(0usize..4, 1..3),
+                    collection::vec(0usize..4, 1..3),
+                    collection::vec(0usize..6, 0..6),
+                ],
+                4,
+            ),
+            sfs in collection::vec(
+                prop_oneof![
+                    Just(None),
+                    collection::vec(7u8..13, 1..3).prop_map(Some),
+                    collection::vec(5u8..14, 0..4).prop_map(Some),
+                ],
+                4,
+            ),
+        ) {
+            let shards = channels
+                .into_iter()
+                .zip(sfs)
+                .take(n_shards)
+                .map(|(channels, sfs)| ShardPlan { channels, sfs })
+                .collect();
+            let config = ClusterConfig { base: base(), shards };
+            if let Ok(mut cluster) = GatewayCluster::new(config) {
+                cluster.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+                let (_, snap) = cluster.finish();
+                prop_assert_eq!(snap.global_watermark, u64::MAX);
+            }
         }
-    }
-
-    #[test]
-    fn sequential_merge_reads_horizons_before_collecting_releases() {
-        // Regression: the sequential merge polled shard releases first and
-        // read horizons second. A shard releasing in between (its pool
-        // threads run concurrently) advanced the global watermark past a
-        // packet the merge had not collected; the later packet went out
-        // first and the earlier one followed, out of order. The hook runs
-        // that release deterministically between the merge's two reads.
-        let mut cluster =
-            GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
-        // Shard 1 has already released a packet at 3 000 and is past it.
-        release_through(&cluster.shards[1], released(0, 3_000, b"later"), 4_000);
-        cluster.merge_with(|shards| {
-            // Shard 0 releases an earlier packet and catches up.
-            release_through(&shards[0], released(0, 1_000, b"earlier"), 4_000);
-        });
-        // The caller collects between merges.
-        let mut stream: Vec<GatewayPacket> = std::mem::take(&mut cluster.released).into();
-        stream.extend(cluster.poll_packets());
-        let starts: Vec<(u64, usize)> = stream
-            .iter()
-            .map(|p| (p.start_wideband, p.channel))
-            .collect();
-        // Shard 1's local channel 0 is global channel 2.
-        assert_eq!(starts, vec![(1_000, 0), (3_000, 2)]);
     }
 }

@@ -32,10 +32,12 @@
 //! starve another.
 //!
 //! The threads belong to a *runtime*: one decode pool over every stream
-//! it serves, plus at most one policy thread. A gateway is one front end
-//! (channelizer, queues, sink, telemetry) on a runtime of its own; a
-//! [`crate::GatewayCluster`] runs all its shard front ends on one shared
-//! runtime, so its thread count does not grow with the shard count.
+//! it serves, plus at most one policy thread. The runtime also owns its
+//! front ends (channelizer, queues, telemetry) and the one sink all
+//! their streams report into. A gateway is a runtime with one front end;
+//! a [`crate::GatewayCluster`] is a runtime with one front end per
+//! shard, so its thread count does not grow with the shard count and its
+//! merge is the gateway's own.
 //!
 //! Backpressure is layered ([`crate::load`]). `push` never blocks; when
 //! decoders fall behind under [`OverloadPolicy::Adaptive`] the policy
@@ -243,7 +245,10 @@ impl GatewayConfig {
 /// mailbox and ladder state. The decode pool serves it one turn at a
 /// time, on at most one thread at once.
 struct Stream {
+    /// Pool task index, and watermark slot in the runtime's sink.
     idx: usize,
+    shard: usize,
+    /// Global channel index.
     channel: usize,
     sf: u8,
     queue: Arc<ChunkQueue>,
@@ -307,7 +312,7 @@ impl Stream {
                 packet: p,
             });
         }
-        self.sink.report(out);
+        self.sink.report(self.shard, out);
     }
 }
 
@@ -586,11 +591,12 @@ impl Drop for PolicyThread {
     }
 }
 
-/// Every thread a [`Gateway`] or a [`crate::GatewayCluster`] runs: one
-/// decode pool serving all of its shards' (channel, SF) streams and, if
-/// any shard runs the adaptive policy, one policy thread ticking each
-/// such shard's own ladder. Both are running when [`Runtime::spawn`]
-/// returns; nothing is spawned later.
+/// Everything a [`Gateway`] or a [`crate::GatewayCluster`] runs: its
+/// shards' front ends, the one sink all their (channel, SF) streams
+/// report into on global channel indices, one decode pool serving every
+/// stream and, if any shard runs the adaptive policy, one policy thread
+/// ticking each such shard's own ladder. Both threads are running when
+/// [`Runtime::spawn`] returns; nothing is spawned later.
 ///
 /// Dropped without [`Runtime::finish`], the runtime stops its threads
 /// without draining: the policy thread is stopped, and each pool thread
@@ -599,55 +605,98 @@ impl Drop for PolicyThread {
 pub(crate) struct Runtime {
     pool: DecodePool<Stream>,
     policy: Option<PolicyThread>,
+    sink: Arc<PacketSink>,
+    /// The front ends, pushed in shard order.
+    shards: Vec<Shard>,
 }
 
 impl Runtime {
-    /// Build one shard per validated configuration, in order, and spawn
-    /// the threads serving them all: a pool of `min(streams, threads)`
-    /// threads (at least one) and, if any shard is adaptive, the policy
-    /// thread. The shards share the first configuration's idle timeout
-    /// and policy tick; a cluster derives every shard's from one base
-    /// configuration.
-    pub(crate) fn spawn(configs: &[GatewayConfig], threads: usize) -> (Self, Vec<Shard>) {
+    /// Build one shard per validated configuration, in order, whose
+    /// channel `i` is global channel `channels[i]`, all reporting into one
+    /// sink, and spawn the threads serving them all: a pool of
+    /// `min(streams, threads)` threads (at least one) and, if any shard
+    /// is adaptive, the policy thread. The shards share the first
+    /// configuration's idle timeout, policy tick and chip length; a
+    /// cluster derives every shard's from one base configuration.
+    pub(crate) fn spawn(plans: &[(GatewayConfig, Vec<usize>)], threads: usize) -> Self {
+        let first = &plans[0].0;
         let OverloadConfig {
             idle_timeout, tick, ..
-        } = configs[0].overload;
-        let n_streams = configs
+        } = first.overload;
+        let n_streams = plans
             .iter()
-            .map(|c| c.channelizer.n_channels() * c.sfs.len())
+            .map(|(c, _)| c.channelizer.n_channels() * c.sfs.len())
             .sum();
+        let chip_wideband = first.oversampling * first.channelizer.decimation;
+        let sink = Arc::new(PacketSink::new(n_streams, chip_wideband));
         let mut streams = Vec::with_capacity(n_streams);
         let mut ladders = Vec::new();
-        let mut shards = Vec::with_capacity(configs.len());
-        for config in configs {
-            let (shard, ladder) = Shard::new(config, &mut streams);
+        let mut shards = Vec::with_capacity(plans.len());
+        for (config, channels) in plans {
+            let (shard, ladder) = Shard::new(config, channels, &sink, &mut streams);
             ladders.extend(ladder);
             shards.push(shard);
         }
         let threads = threads.min(streams.len());
         let pool = DecodePool::spawn(streams, threads, idle_timeout, "gw-decode");
         let policy = (!ladders.is_empty()).then(|| PolicyThread::spawn(ladders, tick));
-        (Self { pool, policy }, shards)
+        Self {
+            pool,
+            policy,
+            sink,
+            shards,
+        }
+    }
+
+    /// Feed a chunk of wideband samples to every shard in turn: each
+    /// extracts its own band slice and hands it to the pool.
+    pub(crate) fn push(&mut self, samples: &[Cf32]) {
+        for shard in &mut self.shards {
+            shard.push(&self.pool, samples);
+        }
+    }
+
+    /// Packets released by the sink since the last call, time-ordered.
+    pub(crate) fn poll_packets(&self) -> Vec<GatewayPacket> {
+        self.sink.take_released()
+    }
+
+    /// The sink's current release horizon, wideband samples: the
+    /// released stream is complete below it.
+    pub(crate) fn release_horizon(&self) -> u64 {
+        self.sink.horizon()
+    }
+
+    /// The front ends, in shard order.
+    pub(crate) fn shards(&self) -> &[Shard] {
+        &self.shards
+    }
+
+    /// `(packets_merged, cross_gateway_duplicates)` so far.
+    pub(crate) fn merge_counts(&self) -> (u64, u64) {
+        self.sink.merge_counts()
     }
 
     /// End of stream for every shard: stop the control plane, end each
     /// shard's input ([`Shard::end_input`]), then drain the pool once:
     /// every stream decodes its backlog and flushes, and the pool threads
-    /// are joined. Each shard's sink then holds its remaining packets.
-    pub(crate) fn finish(&mut self, shards: &mut [Shard]) {
+    /// are joined. No stream constrains the sink any more, so this
+    /// returns every packet not yet polled.
+    pub(crate) fn finish(&mut self) -> Vec<GatewayPacket> {
         if let Some(policy) = &mut self.policy {
             policy.stop().expect("gateway policy thread panicked");
         }
-        for shard in shards.iter_mut() {
-            shard.end_input(self);
+        for shard in &mut self.shards {
+            shard.end_input(&self.pool);
         }
         self.pool.finish();
+        self.poll_packets()
     }
 }
 
 /// One gateway's front end: its channelizer, and the queues, control
-/// mailboxes, sink and telemetry of its (channel, SF) streams. The
-/// streams themselves decode on the [`Runtime`] that built the shard.
+/// mailboxes and telemetry of its (channel, SF) streams. The streams
+/// themselves decode on the [`Runtime`] that owns the shard.
 pub(crate) struct Shard {
     channelizer: Channelizer,
     /// One queue per worker, in [`GatewayConfig::workers`] order.
@@ -656,23 +705,25 @@ pub(crate) struct Shard {
     worker_channel: Vec<usize>,
     /// Per-worker control mailboxes (shared with the policy thread).
     controls: Vec<Arc<WorkerControl>>,
-    sink: Arc<PacketSink>,
     stats: Arc<GatewayStats>,
     /// Channel-stream samples produced so far, per channel.
     produced: Vec<usize>,
-    /// Deepest below-watermark reach of the release stream, wideband
-    /// samples (largest worker receiver holdback).
-    release_slack: u64,
     /// Pool index of the shard's first stream; worker `i` is pool task
     /// `first + i`.
     first: usize,
 }
 
 impl Shard {
-    /// Build the front end of one validated configuration, appending its
-    /// decode streams to `streams` (the runtime's pool tasks), and, under
-    /// the adaptive policy, its ladder.
-    fn new(config: &GatewayConfig, streams: &mut Vec<Stream>) -> (Self, Option<ShardLadder>) {
+    /// Build the front end of one validated configuration, whose channel
+    /// `i` is global channel `channels[i]`, as a shard of `sink`,
+    /// appending its decode streams to `streams` (the runtime's pool
+    /// tasks), and, under the adaptive policy, its ladder.
+    fn new(
+        config: &GatewayConfig,
+        channels: &[usize],
+        sink: &Arc<PacketSink>,
+        streams: &mut Vec<Stream>,
+    ) -> (Self, Option<ShardLadder>) {
         // Under the adaptive ladder, a configured SIC stage becomes the
         // boost rung: workers start without it and earn it through
         // recovery steps, so residual passes only ever run with headroom.
@@ -686,11 +737,11 @@ impl Shard {
         let delay_wideband = channelizer.group_delay_wideband() as u64;
         let max_sf = *config.sfs.iter().max().expect("validated: non-empty sfs");
 
-        // Build every receiver before the sink: a worker's reports can
-        // legitimately reach its receiver holdback behind its watermark
-        // (SIC residual passes re-read that much buffered history), so
-        // the sink's duplicate window must retain releases over the
-        // largest holdback of any worker.
+        // Build every receiver before joining the sink: a worker's
+        // reports can legitimately reach its receiver holdback behind its
+        // watermark (SIC residual passes re-read that much buffered
+        // history), so the sink's duplicate window must retain releases
+        // over the largest holdback of any worker.
         let receivers: Vec<StreamingReceiver> = workers
             .iter()
             .map(|&(_, sf)| {
@@ -715,13 +766,7 @@ impl Shard {
             .map(|sr| sr.holdback() as u64 * decimation)
             .max()
             .unwrap_or(0);
-        let sink = Arc::new(PacketSink::new(
-            workers.len(),
-            config.oversampling * config.channelizer.decimation,
-            max_sf,
-            release_slack,
-            stats.clone(),
-        ));
+        let shard = sink.add_shard(stats.clone(), max_sf, release_slack);
 
         let first = streams.len();
         let mut queues = Vec::with_capacity(workers.len());
@@ -732,8 +777,9 @@ impl Shard {
             let queue = Arc::new(ChunkQueue::new(config.queue_capacity, wstats.clone()));
             let control = Arc::new(WorkerControl::new());
             streams.push(Stream {
-                idx,
-                channel,
+                idx: first + idx,
+                shard,
+                channel: channels[channel],
                 sf,
                 queue: queue.clone(),
                 sink: sink.clone(),
@@ -767,23 +813,21 @@ impl Shard {
                 wstats: (0..workers.len()).map(|i| stats.worker(i)).collect(),
             }
         });
-        let shard = Self {
+        let front = Self {
             channelizer,
             queues,
             worker_channel,
             controls,
-            sink,
             stats,
             produced: vec![0; config.channelizer.n_channels()],
-            release_slack,
             first,
         };
-        (shard, ladder)
+        (front, ladder)
     }
 
     /// Channelize a chunk of wideband samples and hand each channel's
-    /// output to its streams on `runtime`'s pool.
-    pub(crate) fn push(&mut self, runtime: &Runtime, samples: &[Cf32]) {
+    /// output to its streams on `pool`.
+    fn push(&mut self, pool: &DecodePool<Stream>, samples: &[Cf32]) {
         self.stats
             .samples_in
             .fetch_add(samples.len() as u64, Ordering::Relaxed);
@@ -791,12 +835,12 @@ impl Shard {
         let t0 = Instant::now();
         let outs = self.channelizer.process(samples);
         self.stats.channelize.record(t0.elapsed());
-        self.dispatch(runtime, outs);
+        self.dispatch(pool, outs);
     }
 
     /// Fan channelizer output out to every worker of its channel and
     /// wake those streams in the pool.
-    fn dispatch(&mut self, runtime: &Runtime, outs: Vec<Vec<Cf32>>) {
+    fn dispatch(&mut self, pool: &DecodePool<Stream>, outs: Vec<Vec<Cf32>>) {
         let fed: Vec<bool> = outs.iter().map(|out| !out.is_empty()).collect();
         for (channel, out) in outs.into_iter().enumerate() {
             if out.is_empty() {
@@ -815,7 +859,7 @@ impl Shard {
             }
         }
         let (first, worker_channel) = (self.first, &self.worker_channel);
-        runtime.pool.wake(
+        pool.wake(
             (0..worker_channel.len())
                 .filter(|&idx| fed[worker_channel[idx]])
                 .map(|idx| first + idx),
@@ -826,7 +870,7 @@ impl Shard {
     /// decodes the backlog instead of shedding it, flush the
     /// channelizer's group-delay tail to the workers (a packet ending at
     /// capture end keeps its final symbols), and close every queue.
-    fn end_input(&mut self, runtime: &Runtime) {
+    fn end_input(&mut self, pool: &DecodePool<Stream>) {
         for c in &self.controls {
             // Shed and degraded workers come back to full effort; a
             // granted SIC boost stays — only heat revokes it, and with
@@ -838,53 +882,29 @@ impl Shard {
         let t0 = Instant::now();
         let tail = self.channelizer.flush();
         self.stats.channelize.record(t0.elapsed());
-        self.dispatch(runtime, tail);
+        self.dispatch(pool, tail);
         for q in &self.queues {
             q.close();
         }
-    }
-
-    /// Packets released by the sink since the last call, time-ordered.
-    pub(crate) fn poll_packets(&self) -> Vec<GatewayPacket> {
-        self.sink.take_released()
     }
 
     /// Live telemetry handle.
     pub(crate) fn stats(&self) -> Arc<GatewayStats> {
         self.stats.clone()
     }
-
-    /// The sink's current release horizon, wideband samples.
-    pub(crate) fn release_horizon(&self) -> u64 {
-        self.sink.horizon()
-    }
-
-    /// Deepest legitimate below-watermark reach of the release stream,
-    /// wideband samples — the largest worker receiver holdback. Sizes
-    /// the cross-shard duplicate window at the cluster merge tier.
-    pub(crate) fn release_slack(&self) -> u64 {
-        self.release_slack
-    }
-
-    /// The merge point, for tests that drive releases directly.
-    #[cfg(test)]
-    pub(crate) fn sink(&self) -> &PacketSink {
-        &self.sink
-    }
 }
 
-/// A running multi-channel gateway: one front end (channelizer, stream
-/// queues, sink) on a runtime of its own (decode pool and policy
-/// thread). Feed wideband samples with [`Gateway::push`] (any chunk
-/// sizes), collect merged packets with [`Gateway::poll_packets`] or all
-/// at once from [`Gateway::finish`].
+/// A running multi-channel gateway: a runtime (decode pool, policy
+/// thread, sink) with one front end (channelizer, stream queues) of its
+/// own. Feed wideband samples with [`Gateway::push`] (any chunk sizes),
+/// collect merged packets with [`Gateway::poll_packets`] or all at once
+/// from [`Gateway::finish`].
 ///
 /// Dropped without [`Gateway::finish`], a gateway stops its threads
 /// without draining the backlog: nothing is flushed and no thread
 /// outlives the gateway.
 pub struct Gateway {
     runtime: Runtime,
-    shard: Shard,
 }
 
 impl Gateway {
@@ -905,21 +925,22 @@ impl Gateway {
         threads: usize,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let (runtime, mut shards) = Runtime::spawn(std::slice::from_ref(&config), threads);
-        let shard = shards.pop().expect("one configuration builds one shard");
-        Ok(Self { runtime, shard })
+        let channels = (0..config.channelizer.n_channels()).collect();
+        Ok(Self {
+            runtime: Runtime::spawn(&[(config, channels)], threads),
+        })
     }
 
     /// Feed a chunk of wideband samples. Never blocks: overload is
     /// absorbed by the degradation ladder and, at the last resort, the
     /// counted drop-oldest queues.
     pub fn push(&mut self, samples: &[Cf32]) {
-        self.shard.push(&self.runtime, samples);
+        self.runtime.push(samples);
     }
 
     /// Packets released by the sink since the last call, time-ordered.
     pub fn poll_packets(&self) -> Vec<GatewayPacket> {
-        self.shard.poll_packets()
+        self.runtime.poll_packets()
     }
 
     /// Attach the gateway's single non-blocking packet subscription:
@@ -933,19 +954,19 @@ impl Gateway {
     /// [`Gateway::finish`]. Panics if a subscription is already
     /// attached.
     pub fn subscribe(&self, capacity: usize) -> Receiver<GatewayPacket> {
-        self.shard.sink.subscribe(capacity)
+        self.runtime.sink.subscribe(capacity)
     }
 
     /// Live telemetry handle (snapshot-readable at any time).
     pub fn stats(&self) -> Arc<GatewayStats> {
-        self.shard.stats()
+        self.runtime.shards[0].stats()
     }
 
     /// The sink's current release horizon, wideband samples: this
     /// gateway's released stream is complete below it. A cluster's
-    /// global watermark is the minimum of these across shards.
+    /// global watermark is the same horizon, over every shard's streams.
     pub fn release_horizon(&self) -> u64 {
-        self.shard.release_horizon()
+        self.runtime.release_horizon()
     }
 
     /// End of stream: stop the control plane, restore every worker to
@@ -957,8 +978,8 @@ impl Gateway {
     /// the last [`Gateway::poll_packets`] call) plus a final telemetry
     /// snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
-        self.runtime.finish(std::slice::from_mut(&mut self.shard));
-        (self.shard.poll_packets(), self.shard.stats.snapshot())
+        let packets = self.runtime.finish();
+        (packets, self.runtime.shards[0].stats.snapshot())
     }
 }
 
@@ -1241,19 +1262,19 @@ mod tests {
         add_unit_noise(&mut rand::rngs::StdRng::seed_from_u64(3), &mut noise);
         let noise = Arc::new(noise);
         for i in 0..backlog {
-            gw.shard.queues[0].push(Chunk {
+            gw.runtime.shards[0].queues[0].push(Chunk {
                 start: i * noise.len(),
                 samples: noise.clone(),
             });
         }
         let idle_len = 8192;
-        gw.shard.queues[1].push(Chunk {
+        gw.runtime.shards[0].queues[1].push(Chunk {
             start: 0,
             samples: Arc::new(vec![Cf32::new(0.0, 0.0); idle_len]),
         });
         gw.runtime.pool.wake([0, 1]);
 
-        let delay = gw.shard.channelizer.group_delay_wideband() as u64;
+        let delay = gw.runtime.shards[0].channelizer.group_delay_wideband() as u64;
         let caught_up = idle_len as u64 * plan.decimation as u64 - delay;
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
         while gw.release_horizon() < caught_up {
@@ -1264,7 +1285,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(
-            !gw.shard.queues[0].is_idle(),
+            !gw.runtime.shards[0].queues[0].is_idle(),
             "the idle turn waited for the busy sibling's backlog to drain"
         );
     }
@@ -1315,7 +1336,7 @@ mod tests {
         let mut cfg = config();
         cfg.overload.policy = OverloadPolicy::DropOldest; // no controller to un-shed
         let mut gw = Gateway::new(cfg).expect("valid config");
-        for c in &gw.shard.controls {
+        for c in &gw.runtime.shards[0].controls {
             c.set_rung(SHED_RUNG);
         }
         for _ in 0..8 {
@@ -1324,7 +1345,7 @@ mod tests {
         // `finish` restores full effort before draining, so let the pool
         // discard the backlog at the shed rung first.
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
-        while gw.shard.queues.iter().any(|q| !q.is_empty()) {
+        while gw.runtime.shards[0].queues.iter().any(|q| !q.is_empty()) {
             assert!(Instant::now() < deadline, "shed streams stopped consuming");
             std::thread::yield_now();
         }

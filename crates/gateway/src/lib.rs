@@ -7,18 +7,17 @@
 //! * [`gateway`] — the [`Gateway`] itself: wideband samples in, a merged
 //!   time-ordered packet stream out, every (channel, spreading factor)
 //!   stream fed through a bounded queue (counted drop-oldest as the last
-//!   resort) and decoded by a pool of `min(streams, cores)` threads;
+//!   resort), decoded by a pool of `min(streams, cores)` threads and
+//!   merged by one watermark sink into a time-ordered,
+//!   duplicate-suppressed stream of [`GatewayPacket`]s;
 //! * [`load`] — the adaptive overload control plane: a degradation
 //!   ladder that cuts decoder effort, then sheds whole spreading
 //!   factors, before any samples are dropped;
-//! * [`sink`] — the watermark-based merge of all worker outputs into one
-//!   time-ordered, duplicate-suppressed stream;
-//! * [`dedup`] — the duplicate-suppression window shared by the sink and
-//!   the cluster merge tier;
-//! * [`cluster`] — the sharded scale-out tier: N gateways over slices of
-//!   one band, pushed inline on the caller's thread, behind a single
-//!   global watermark, with cross-gateway duplicate suppression for
-//!   overlapping coverage;
+//! * [`cluster`] — the sharded scale-out tier: N gateway front ends over
+//!   slices of one band, pushed inline on the caller's thread, whose
+//!   streams all report into one sink on global channel indices, so
+//!   copies of one transmission from overlapping coverage are suppressed
+//!   by the sink's own duplicate rule;
 //! * [`stats`] — [`GatewayStats`]: atomic counters and log2 latency
 //!   histograms, snapshot-readable while the gateway runs.
 //!
@@ -27,22 +26,21 @@
 //! `lora_channel::wideband`.
 
 pub mod cluster;
-pub mod dedup;
+mod dedup;
 pub mod gateway;
 pub mod load;
 mod pool;
 mod queue;
-pub mod sink;
+mod sink;
 pub mod stats;
 
 pub use cluster::{ClusterConfig, ClusterError, ClusterSnapshot, GatewayCluster, ShardPlan};
-pub use dedup::{DedupEntry, DedupWindow};
 pub use gateway::{ConfigError, Gateway, GatewayConfig};
 pub use load::{
     ControlAction, LoadMonitor, OverloadConfig, OverloadController, OverloadPolicy, WorkerControl,
     SHED_RUNG, SIC_RUNG,
 };
-pub use sink::{GatewayPacket, PacketSink};
+pub use sink::GatewayPacket;
 pub use stats::{
     rung_slot, GatewaySnapshot, GatewayStats, HistogramSnapshot, LatencyHistogram,
     LatencyPercentiles, WorkerStats, RUNG_SLOTS,

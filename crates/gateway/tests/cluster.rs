@@ -2,7 +2,7 @@
 //! same wideband capture in ragged chunks, must reproduce the single
 //! wide gateway's decode set exactly once, globally time-ordered. Shards
 //! with overlapping coverage additionally exercise the cross-gateway
-//! dedup at the merge tier; disjoint SF splits over one band must union
+//! dedup in the shared sink; disjoint SF splits over one band must union
 //! back to the wide decode set with nothing to deduplicate.
 
 use std::sync::OnceLock;
@@ -223,7 +223,7 @@ proptest! {
 }
 
 /// Two shards both covering channel 1: each releases its own copy of
-/// every transmission there, and the merge tier must suppress the extras
+/// every transmission there, and the sink must suppress the extras
 /// while still delivering the wide decode set exactly once.
 #[test]
 fn overlapping_shards_are_deduplicated_exactly_once() {
@@ -254,6 +254,12 @@ fn overlapping_shards_are_deduplicated_exactly_once() {
     assert!(
         snap.cross_gateway_duplicates > 0,
         "overlapping coverage must exercise the cross-gateway dedup"
+    );
+    // Every packet a shard released is either merged or a copy of
+    // another shard's.
+    assert_eq!(
+        snap.merged.packets_released,
+        snap.packets_merged + snap.cross_gateway_duplicates
     );
 }
 

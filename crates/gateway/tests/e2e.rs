@@ -5,7 +5,7 @@
 //! exactly once, time-ordered, by the gateway, and the telemetry must be
 //! consistent with the sink.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cic::{CicConfig, CicReceiver};
 use lora_channel::wideband::{
@@ -544,6 +544,9 @@ fn overload_capture(plan: &BandPlan) -> (Vec<Cf32>, usize, usize) {
     (samples, n7, n9)
 }
 
+/// Samples per push in the overload runs.
+const OVERLOAD_CHUNK: usize = 32_768;
+
 /// Push `samples` through a queue-capacity-1 gateway under `overload`,
 /// pacing pushes on a fixed wall-clock schedule so both policies see the
 /// same offered load. Returns (CRC-ok packets delivered, snapshot).
@@ -556,7 +559,7 @@ fn run_overloaded(
     let mut gw = Gateway::new(gateway_config(plan, 1, overload)).expect("valid config");
     let rx = gw.subscribe(4096);
     let mut ok = 0usize;
-    for chunk in samples.chunks(32_768) {
+    for chunk in samples.chunks(OVERLOAD_CHUNK) {
         gw.push(chunk);
         std::thread::sleep(pace);
         ok += rx.try_iter().filter(|p| p.packet.ok()).count();
@@ -583,9 +586,18 @@ fn adaptive_policy_beats_drop_oldest_under_overload() {
         "capture too sparse: {n7} SF7 / {n9} SF9"
     );
 
-    // Pace chosen so the worker pool cannot keep up at full effort on
-    // every SF, but a post-shed SF7-only pool can.
-    let pace = Duration::from_millis(6);
+    // Pace the pushes at 4× the rate this host decodes the capture now,
+    // unpaced, lossless and at full effort (which also warms the
+    // decoder): the worker pool cannot keep up on every SF, but a
+    // post-shed SF7-only pool can. A fixed pace would set the overload
+    // by whatever speed the host happens to have.
+    let chunks = samples.chunks(OVERLOAD_CHUNK).len();
+    let lossless = gateway_config(&plan, chunks + 1, pinned_drop_oldest());
+    let mut gw = Gateway::new(lossless).expect("valid config");
+    let t0 = Instant::now();
+    samples.chunks(OVERLOAD_CHUNK).for_each(|c| gw.push(c));
+    gw.finish();
+    let pace = t0.elapsed() / (4 * chunks as u32);
 
     let adaptive = OverloadConfig {
         policy: OverloadPolicy::Adaptive,
@@ -607,7 +619,7 @@ fn adaptive_policy_beats_drop_oldest_under_overload() {
     let (ok_drop, snap_drop) = run_overloaded(&plan, &samples, pinned_drop_oldest(), pace);
 
     eprintln!(
-        "offered: {n7} SF7 + {n9} SF9; adaptive delivered {ok_adaptive} \
+        "pace {pace:?}; offered: {n7} SF7 + {n9} SF9; adaptive delivered {ok_adaptive} \
          (degrades {}, shed chunks {}, shed {:.2}s, dropped {}), \
          drop-oldest delivered {ok_drop} (dropped {})",
         snap_adaptive.degrade_events,

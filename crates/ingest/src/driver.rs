@@ -21,6 +21,9 @@
 //!   partially overlapping samples already pushed has the overlap
 //!   trimmed off its head.
 //! * **corrupt frames**: counted in `frames_rejected`, payload ignored.
+//!   A decodable frame whose next sequence number or sample span would
+//!   pass `u64::MAX` is corrupt too: it leaves the expected sequence and
+//!   position where they were.
 //! * **reconnects**: counted in `reconnects`; sample accounting rides on
 //!   `first_sample`, so a sender that kept counting through the outage
 //!   produces an ordinary gap.
@@ -190,6 +193,16 @@ fn drive(
         match source.next_event() {
             IqEvent::Frame(f) => {
                 stats.frames_in.fetch_add(1, Ordering::Relaxed);
+                // A frame whose sequence or span runs past `u64::MAX` is
+                // well formed on the wire but cannot continue any stream:
+                // reject it before it moves a counter or an expectation.
+                let len = f.samples.len() as u64;
+                let (Some(next_seq), Some(frame_end)) =
+                    (f.seq.checked_add(1), f.first_sample.checked_add(len))
+                else {
+                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                };
                 if let Some(exp) = expected_seq {
                     if f.seq < exp {
                         // A duplicate or late reordering of a frame whose
@@ -204,9 +217,7 @@ fn drive(
                             .fetch_add(f.seq - exp, Ordering::Relaxed);
                     }
                 }
-                expected_seq = Some(f.seq + 1);
-                let len = f.samples.len() as u64;
-                let frame_end = f.first_sample + len;
+                expected_seq = Some(next_seq);
                 let exp = expected_pos.unwrap_or(f.first_sample);
                 if frame_end <= exp {
                     // Entirely behind the stream head (seq said "new" but

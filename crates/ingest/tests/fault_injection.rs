@@ -100,6 +100,31 @@ fn every_fault_is_counted_exactly() {
 }
 
 #[test]
+fn frames_overflowing_sequence_or_span_are_rejected() {
+    // Both frames decode from the wire, but the next sequence number of
+    // the first and the span end of the second pass `u64::MAX`: neither
+    // may panic the driver, count a hole, or move the stream.
+    let script = vec![
+        frame(0, 0, 100),
+        frame(u64::MAX, 100, 100),
+        frame(1, u64::MAX - 10, 100),
+        frame(1, 100, 100),
+        IqEvent::End,
+    ];
+    let sub = IngestDriver::spawn(
+        gateway(),
+        ScriptedSource::new(script),
+        IngestConfig::default(),
+    );
+    let (_, snap) = sub.join();
+
+    assert_eq!(snap.frames_in, 4);
+    assert_eq!(snap.frames_rejected, 2, "the two overflowing frames");
+    assert_eq!(snap.frames_dropped, 0, "no sequence hole was counted");
+    assert_eq!(snap.samples_in, 200, "the stream continued at seq 1");
+}
+
+#[test]
 fn oversized_gap_is_zero_filled_only_up_to_the_cap() {
     let script = vec![
         frame(0, 0, 100),

@@ -273,8 +273,8 @@ mod tests {
             .expect("sharded run carries cluster telemetry");
         assert_eq!(cl.shards.len(), 2);
         assert_eq!(cl.global_watermark, u64::MAX, "finish opens the watermark");
-        // A channel-contiguous split is disjoint coverage: nothing for
-        // the merge tier to suppress.
+        // A channel-contiguous split is disjoint coverage: no copy from
+        // another shard for the sink to suppress.
         assert_eq!(cl.cross_gateway_duplicates, 0);
         // Identical channelizer slices ⇒ identical decode on a lightly
         // loaded (no-drop) point.
