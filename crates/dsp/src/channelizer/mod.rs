@@ -33,7 +33,7 @@
 //!   planar dot products ([`kernel::fir_dot`]) at the *decimated* rate,
 //!   summed in fixed branch order. Branch histories are planar re/im
 //!   `f32` planes; the NCO is a complex-rotator recurrence in f64 (one
-//!   `sin`/`cos` pair every [`RENORM_INTERVAL`] samples).
+//!   `sin`/`cos` pair every `RENORM_INTERVAL` = 512 samples).
 //! * [`scalar::Channelizer`] — the original per-sample `sin`/`cos` +
 //!   interleaved-complex implementation, the test and bench oracle: it
 //!   computes the same sums in a different floating-point association,

@@ -31,9 +31,10 @@
 //!   aggregate and the sink's cross-shard counters.
 //!
 //! Shards run inline: `push` channelizes the chunk into each shard in
-//! turn on the caller's thread. One decode pool of `min(streams, cores)`
-//! threads serves every shard's streams, and under the adaptive policy
-//! one policy thread ticks each shard's own ladder.
+//! turn on the caller's thread, and under the adaptive policy ticks each
+//! shard's own ladder there too. One decode pool of
+//! `min(streams, cores)` threads serves every shard's streams; it is the
+//! cluster's only thread.
 //!
 //! [`Gateway`]: crate::Gateway
 
@@ -238,9 +239,8 @@ pub struct GatewayCluster {
 impl GatewayCluster {
     /// Validate the layout, build every shard, and spawn the one runtime
     /// serving them all: a decode pool of `min(streams, cores)` threads
-    /// over every shard's streams and, under the adaptive policy, one
-    /// policy thread. Shards are pushed inline in shard order from the
-    /// caller's thread.
+    /// over every shard's streams, under either policy. Shards are pushed
+    /// inline in shard order from the caller's thread.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         config.validate()?;
         let plans: Vec<(GatewayConfig, Vec<usize>)> = (0..config.shards.len())

@@ -5,49 +5,58 @@
 //! Dataflow (double boxes are threads):
 //!
 //! ```text
-//!                 ╔════════════ caller thread ════════════╗
-//! wideband IQ ──▶ ║ Gateway::push ─▶ Channelizer (D-fold) ║
-//!                 ╚══════╤═══════════════╤════════════════╝
+//!                 ╔═════════════ caller thread ═════════════╗
+//! wideband IQ ──▶ ║ Gateway::push ─▶ Channelizer (D-fold)   ║
+//!                 ║ then, at most once per tick, the ladder ║
+//!                 ║ reads the gauges and sets stream rungs  ║
+//!                 ╚══════╤═══════════════╤══════════════════╝
 //!               channel 0│     channel 1 │        …
 //!                  ┌─────┴─────┐   ┌─────┴─────┐
 //!                  ▼           ▼   ▼           ▼
 //!             [queue 0,SF7] [queue 0,SF9] …        bounded, drop-oldest
-//!             stream state  stream state           ▲ depth gauges
-//!                  │ wake      │ wake              │
-//!                  ▼           ▼                   │
-//!             ╔═══════════ decode pool ═══════╗  ╔═╧═════════════╗
-//!             ║ min(streams, cores) threads;  ║  ║ policy thread ║
-//!             ║ ready streams FIFO, one chunk ║◀─║ (degradation  ║
-//!             ║ per turn; idle deadlines      ║  ║  ladder)      ║
-//!             ╚═══════════════╤═══════════════╝  ╚═══════════════╝
+//!             stream state  stream state           depth, decode and rung
+//!                  │ wake      │ wake              gauges per stream
+//!                  ▼           ▼
+//!             ╔═══════════ decode pool ═══════╗
+//!             ║ min(streams, cores) threads;  ║
+//!             ║ ready streams FIFO, one chunk ║
+//!             ║ per turn; idle deadlines      ║
+//!             ╚═══════════════╤═══════════════╝
 //!                             ▼
 //!                        PacketSink  ─▶ time-ordered, deduplicated packets
 //! ```
 //!
-//! Every (channel, SF) *stream* keeps its own queue, receiver, control
-//! mailbox, telemetry and sink watermark slot; the decode pool's
-//! threads only decide which stream runs next. A stream runs on at most
-//! one pool thread at a time, one chunk per turn, and ready streams are
-//! served first come, first served, so a backlog on one stream cannot
-//! starve another.
+//! Every (channel, SF) *stream* keeps its own queue, receiver,
+//! telemetry and sink watermark slot; its telemetry's
+//! [`WorkerStats::effort_rung`] gauge is the rung it decodes its next
+//! chunk at. The decode pool's threads only decide which stream runs
+//! next. A stream runs on at most one pool thread at a time, one chunk
+//! per turn, and ready streams are served first come, first served, so a
+//! backlog on one stream cannot starve another.
 //!
 //! The threads belong to a *runtime*: one decode pool over every stream
-//! it serves, plus at most one policy thread. The runtime also owns its
-//! front ends (channelizer, queues, telemetry) and the one sink all
-//! their streams report into. A gateway is a runtime with one front end;
-//! a [`crate::GatewayCluster`] is a runtime with one front end per
-//! shard, so its thread count does not grow with the shard count and its
-//! merge is the gateway's own.
+//! it serves, and no other thread. The runtime also owns its front ends
+//! (channelizer, queues, telemetry and, under the adaptive policy, the
+//! overload ladder) and the one sink all their streams report into. A
+//! gateway is a runtime with one front end; a [`crate::GatewayCluster`]
+//! is a runtime with one front end per shard, so its thread count does
+//! not grow with the shard count and its merge is the gateway's own.
 //!
-//! Backpressure is layered ([`crate::load`]). `push` never blocks; when
-//! decoders fall behind under [`OverloadPolicy::Adaptive`] the policy
-//! thread first cuts decoder effort on hot streams
+//! Backpressure is layered ([`crate::load`]). `push` never blocks; under
+//! [`OverloadPolicy::Adaptive`] each push, after dispatching its chunk,
+//! samples the shard's queue-depth and decode-latency gauges and ticks
+//! the shard's ladder — at most once per
+//! [`OverloadConfig::tick`](crate::load::OverloadConfig::tick), and a
+//! tick only reads and writes atomics. When decoders fall behind the
+//! ladder first cuts decoder effort on hot streams
 //! ([`cic::CicConfig::effort_rung`]), then sheds whole high-SF streams
 //! (their chunks are discarded and counted, their watermarks keep
 //! advancing), and only load the ladder cannot absorb reaches the
 //! bounded queues' counted drop-oldest eviction — after which the stream
 //! resynchronises across the gap with [`StreamingReceiver::seek_to`].
-//! Recovery retraces the ladder upward under hysteresis.
+//! Recovery retraces the ladder upward under hysteresis. No tick runs
+//! without a push: an idle gateway wakes no thread, and while the
+//! producer is silent every stream keeps its rung.
 //!
 //! Liveness: a stream whose queue stays empty for
 //! [`crate::load::OverloadConfig::idle_timeout`] after a turn has caught
@@ -61,8 +70,7 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cic::{CicConfig, DecodedPacket, StreamingReceiver};
@@ -70,8 +78,7 @@ use lora_dsp::{Cf32, Channelizer, ChannelizerConfig, ChannelizerError};
 use lora_phy::params::{CodeRate, LoraParams, ParamError};
 
 use crate::load::{
-    ControlAction, OverloadConfig, OverloadController, OverloadPolicy, WorkerControl, SHED_RUNG,
-    SIC_RUNG,
+    ControlAction, OverloadConfig, OverloadController, OverloadPolicy, SHED_RUNG, SIC_RUNG,
 };
 use crate::pool::{DecodePool, Task, Turn};
 use crate::queue::{Chunk, ChunkQueue, Pop};
@@ -241,9 +248,9 @@ impl GatewayConfig {
     }
 }
 
-/// One (channel, SF) decode stream: its queue, receiver, control
-/// mailbox and ladder state. The decode pool serves it one turn at a
-/// time, on at most one thread at once.
+/// One (channel, SF) decode stream: its queue, receiver, telemetry and
+/// ladder state. The decode pool serves it one turn at a time, on at
+/// most one thread at once.
 struct Stream {
     /// Pool task index, and watermark slot in the runtime's sink.
     idx: usize,
@@ -254,8 +261,9 @@ struct Stream {
     queue: Arc<ChunkQueue>,
     sink: Arc<PacketSink>,
     stats: Arc<GatewayStats>,
+    /// The stream's telemetry; its `effort_rung` gauge is the rung to
+    /// decode at.
     wstats: Arc<WorkerStats>,
-    control: Arc<WorkerControl>,
     /// Full-effort decoder configuration (rung 0 baseline).
     base_cic: CicConfig,
     /// Wideband samples per channel sample.
@@ -340,9 +348,11 @@ impl Task for Stream {
 }
 
 impl Stream {
-    /// Decode (or, while shed, discard) one chunk.
+    /// Decode (or, while shed, discard) one chunk, at the rung the
+    /// `effort_rung` gauge holds.
     fn consume(&mut self, chunk: &Chunk) {
-        if self.control.is_shed() {
+        let rung = self.wstats.effort_rung.load(Ordering::Relaxed) as usize;
+        if rung == SHED_RUNG {
             if self.shed_since.is_none() {
                 // Entering shed: quiesce first so every packet the
                 // buffer still holds is emitted (or given up on)
@@ -362,7 +372,6 @@ impl Stream {
             return;
         }
         self.end_shed();
-        let rung = self.control.rung();
         if rung != self.applied_rung {
             self.sr.set_config(self.config_for_rung(rung));
             self.applied_rung = rung;
@@ -420,74 +429,31 @@ impl Stream {
     }
 }
 
-/// Condvar-backed stop gate for the policy thread. The thread sleeps
-/// between ticks on [`StopGate::wait_until`]; [`StopGate::stop`] wakes it
-/// immediately, so shutdown latency is not quantised to the tick period.
-struct StopGate {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopGate {
-    fn new() -> Self {
-        Self {
-            stopped: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until `deadline` or until [`StopGate::stop`] is called,
-    /// whichever comes first. Returns `true` if the gate was stopped.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut stopped = self.stopped.lock().expect("stop gate poisoned");
-        loop {
-            if *stopped {
-                return true;
-            }
-            let now = Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            // Spurious wakes loop back around; the deadline re-check
-            // above bounds the total wait.
-            let (guard, _) = self
-                .cv
-                .wait_timeout(stopped, left)
-                .expect("stop gate poisoned");
-            stopped = guard;
-        }
-    }
-
-    /// Also called from `Drop`, so it must not panic: the flag is a
-    /// plain bool, valid even if a panicking holder poisoned the lock.
-    fn stop(&self) {
-        *self
-            .stopped
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        self.cv.notify_all();
-    }
-}
-
-/// One adaptive shard's part of the control plane: its own
-/// [`OverloadController`] ladder and the gauges it reads and the
-/// mailboxes and telemetry it drives.
+/// One adaptive shard's overload ladder: its own
+/// [`OverloadController`], the gauges it reads, and the rung gauges and
+/// telemetry it drives. [`Shard::push`] ticks it on the pushing thread.
 struct ShardLadder {
     ctl: OverloadController,
     queue_capacity: usize,
-    controls: Vec<Arc<WorkerControl>>,
+    /// Least time between two ticks ([`OverloadConfig::tick`]).
+    period: Duration,
+    /// The previous tick; the ladder's construction before the first.
+    last_tick: Instant,
     stats: Arc<GatewayStats>,
     wstats: Vec<Arc<WorkerStats>>,
 }
 
 impl ShardLadder {
-    /// One tick: sample the shard's queue-depth and decode-latency
-    /// gauges, run its ladder, and apply the transitions to its
-    /// per-worker [`WorkerControl`] mailboxes and telemetry.
+    /// Tick, unless the previous tick was less than `period` ago:
+    /// sample the shard's queue-depth and decode-latency gauges, run its
+    /// ladder, and apply the transitions to the workers' `effort_rung`
+    /// gauges and telemetry.
     fn tick(&mut self) {
+        let now = Instant::now();
+        if now.duration_since(self.last_tick) < self.period {
+            return;
+        }
+        self.last_tick = now;
         let depths: Vec<u64> = self
             .wstats
             .iter()
@@ -498,113 +464,48 @@ impl ShardLadder {
             .iter()
             .map(|w| w.decode_ewma_ns.load(Ordering::Relaxed))
             .collect();
-        let (controls, stats, wstats) = (&self.controls, &self.stats, &self.wstats);
         for action in self
             .ctl
             .tick_with_decode(&depths, &decode_ewmas, self.queue_capacity)
         {
-            match action {
+            let (workers, rung, degrade) = match action {
                 ControlAction::SetRung {
                     worker,
                     rung,
                     degrade,
-                } => {
-                    controls[worker].set_rung(rung);
-                    wstats[worker]
-                        .effort_rung
-                        .store(rung as u64, Ordering::Relaxed);
-                    stats.record_rung_engagement(rung);
-                    let counter = if degrade {
-                        &wstats[worker].degrade_events
-                    } else {
-                        &wstats[worker].restore_events
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-                ControlAction::Shed { workers, .. } => {
-                    for w in workers {
-                        controls[w].set_rung(SHED_RUNG);
-                        wstats[w]
-                            .effort_rung
-                            .store(SHED_RUNG as u64, Ordering::Relaxed);
-                        stats.record_rung_engagement(SHED_RUNG);
-                        wstats[w].degrade_events.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                } => (vec![worker], rung, degrade),
+                ControlAction::Shed { workers, .. } => (workers, SHED_RUNG, true),
                 ControlAction::Restore { workers, .. } => {
-                    for w in workers {
-                        let rung = CicConfig::MAX_EFFORT_RUNG;
-                        controls[w].set_rung(rung);
-                        wstats[w].effort_rung.store(rung as u64, Ordering::Relaxed);
-                        stats.record_rung_engagement(rung);
-                        wstats[w].restore_events.fetch_add(1, Ordering::Relaxed);
-                    }
+                    (workers, CicConfig::MAX_EFFORT_RUNG, false)
                 }
+            };
+            for w in workers {
+                let wstats = &self.wstats[w];
+                wstats.effort_rung.store(rung as u64, Ordering::Relaxed);
+                self.stats.record_rung_engagement(rung);
+                let counter = if degrade {
+                    &wstats.degrade_events
+                } else {
+                    &wstats.restore_events
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 }
 
-/// The policy thread: ticks every adaptive shard's ladder in turn, once
-/// per `tick`. Dropping it stops and joins the thread.
-struct PolicyThread {
-    gate: Arc<StopGate>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl PolicyThread {
-    fn spawn(mut ladders: Vec<ShardLadder>, tick: Duration) -> Self {
-        let gate = Arc::new(StopGate::new());
-        let thread_gate = gate.clone();
-        let handle = std::thread::Builder::new()
-            .name("gw-policy".into())
-            .spawn(move || {
-                // Deadline-scheduled ticks: each iteration waits until
-                // `next` rather than sleeping a fixed amount, so tick
-                // processing time does not accumulate drift, and `stop`
-                // interrupts the wait instantly.
-                let mut next = Instant::now() + tick;
-                while !thread_gate.wait_until(next) {
-                    next = Instant::now() + tick;
-                    for ladder in &mut ladders {
-                        ladder.tick();
-                    }
-                }
-            })
-            .expect("spawn gateway policy thread");
-        Self {
-            gate,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop and join the thread; a no-op once it has been joined.
-    fn stop(&mut self) -> std::thread::Result<()> {
-        self.gate.stop();
-        self.handle.take().map_or(Ok(()), JoinHandle::join)
-    }
-}
-
-impl Drop for PolicyThread {
-    fn drop(&mut self) {
-        let _ = self.stop();
-    }
-}
-
 /// Everything a [`Gateway`] or a [`crate::GatewayCluster`] runs: its
-/// shards' front ends, the one sink all their (channel, SF) streams
-/// report into on global channel indices, one decode pool serving every
-/// stream and, if any shard runs the adaptive policy, one policy thread
-/// ticking each such shard's own ladder. Both threads are running when
-/// [`Runtime::spawn`] returns; nothing is spawned later.
+/// shards' front ends (each adaptive one with its own ladder), the one
+/// sink all their (channel, SF) streams report into on global channel
+/// indices, and one decode pool serving every stream. The pool's threads
+/// are running when [`Runtime::spawn`] returns; nothing is spawned later.
 ///
 /// Dropped without [`Runtime::finish`], the runtime stops its threads
-/// without draining: the policy thread is stopped, and each pool thread
-/// exits after its current turn. Every thread is joined before the drop
-/// returns, and nothing is flushed.
+/// without draining: each pool thread exits after its current turn.
+/// Every thread is joined before the drop returns, and nothing is
+/// flushed.
 pub(crate) struct Runtime {
     pool: DecodePool<Stream>,
-    policy: Option<PolicyThread>,
     sink: Arc<PacketSink>,
     /// The front ends, pushed in shard order.
     shards: Vec<Shard>,
@@ -613,16 +514,13 @@ pub(crate) struct Runtime {
 impl Runtime {
     /// Build one shard per validated configuration, in order, whose
     /// channel `i` is global channel `channels[i]`, all reporting into one
-    /// sink, and spawn the threads serving them all: a pool of
-    /// `min(streams, threads)` threads (at least one) and, if any shard
-    /// is adaptive, the policy thread. The shards share the first
-    /// configuration's idle timeout, policy tick and chip length; a
-    /// cluster derives every shard's from one base configuration.
+    /// sink, and spawn the pool serving them all: `min(streams, threads)`
+    /// threads (at least one). The shards share the first configuration's
+    /// idle timeout and chip length; a cluster derives every shard's from
+    /// one base configuration.
     pub(crate) fn spawn(plans: &[(GatewayConfig, Vec<usize>)], threads: usize) -> Self {
         let first = &plans[0].0;
-        let OverloadConfig {
-            idle_timeout, tick, ..
-        } = first.overload;
+        let idle_timeout = first.overload.idle_timeout;
         let n_streams = plans
             .iter()
             .map(|(c, _)| c.channelizer.n_channels() * c.sfs.len())
@@ -630,26 +528,18 @@ impl Runtime {
         let chip_wideband = first.oversampling * first.channelizer.decimation;
         let sink = Arc::new(PacketSink::new(n_streams, chip_wideband));
         let mut streams = Vec::with_capacity(n_streams);
-        let mut ladders = Vec::new();
-        let mut shards = Vec::with_capacity(plans.len());
-        for (config, channels) in plans {
-            let (shard, ladder) = Shard::new(config, channels, &sink, &mut streams);
-            ladders.extend(ladder);
-            shards.push(shard);
-        }
+        let shards = plans
+            .iter()
+            .map(|(config, channels)| Shard::new(config, channels, &sink, &mut streams))
+            .collect();
         let threads = threads.min(streams.len());
         let pool = DecodePool::spawn(streams, threads, idle_timeout, "gw-decode");
-        let policy = (!ladders.is_empty()).then(|| PolicyThread::spawn(ladders, tick));
-        Self {
-            pool,
-            policy,
-            sink,
-            shards,
-        }
+        Self { pool, sink, shards }
     }
 
     /// Feed a chunk of wideband samples to every shard in turn: each
-    /// extracts its own band slice and hands it to the pool.
+    /// extracts its own band slice, hands it to the pool and ticks its
+    /// ladder if one is due.
     pub(crate) fn push(&mut self, samples: &[Cf32]) {
         for shard in &mut self.shards {
             shard.push(&self.pool, samples);
@@ -677,15 +567,13 @@ impl Runtime {
         self.sink.merge_counts()
     }
 
-    /// End of stream for every shard: stop the control plane, end each
-    /// shard's input ([`Shard::end_input`]), then drain the pool once:
-    /// every stream decodes its backlog and flushes, and the pool threads
-    /// are joined. No stream constrains the sink any more, so this
-    /// returns every packet not yet polled.
+    /// End of stream for every shard: end each shard's input
+    /// ([`Shard::end_input`]; no ladder ticks after it, since ticks only
+    /// run on push), then drain the pool once: every stream decodes its
+    /// backlog and flushes, and the pool threads are joined. No stream
+    /// constrains the sink any more, so this returns every packet not yet
+    /// polled.
     pub(crate) fn finish(&mut self) -> Vec<GatewayPacket> {
-        if let Some(policy) = &mut self.policy {
-            policy.stop().expect("gateway policy thread panicked");
-        }
         for shard in &mut self.shards {
             shard.end_input(&self.pool);
         }
@@ -694,17 +582,17 @@ impl Runtime {
     }
 }
 
-/// One gateway's front end: its channelizer, and the queues, control
-/// mailboxes and telemetry of its (channel, SF) streams. The streams
-/// themselves decode on the [`Runtime`] that owns the shard.
+/// One gateway's front end: its channelizer, the queues and telemetry of
+/// its (channel, SF) streams and, under the adaptive policy, its ladder.
+/// The streams themselves decode on the [`Runtime`] that owns the shard.
 pub(crate) struct Shard {
     channelizer: Channelizer,
     /// One queue per worker, in [`GatewayConfig::workers`] order.
     queues: Vec<Arc<ChunkQueue>>,
     /// Channel index of each worker.
     worker_channel: Vec<usize>,
-    /// Per-worker control mailboxes (shared with the policy thread).
-    controls: Vec<Arc<WorkerControl>>,
+    /// The overload ladder, under the adaptive policy only.
+    ladder: Option<ShardLadder>,
     stats: Arc<GatewayStats>,
     /// Channel-stream samples produced so far, per channel.
     produced: Vec<usize>,
@@ -717,13 +605,13 @@ impl Shard {
     /// Build the front end of one validated configuration, whose channel
     /// `i` is global channel `channels[i]`, as a shard of `sink`,
     /// appending its decode streams to `streams` (the runtime's pool
-    /// tasks), and, under the adaptive policy, its ladder.
+    /// tasks).
     fn new(
         config: &GatewayConfig,
         channels: &[usize],
         sink: &Arc<PacketSink>,
         streams: &mut Vec<Stream>,
-    ) -> (Self, Option<ShardLadder>) {
+    ) -> Self {
         // Under the adaptive ladder, a configured SIC stage becomes the
         // boost rung: workers start without it and earn it through
         // recovery steps, so residual passes only ever run with headroom.
@@ -771,11 +659,9 @@ impl Shard {
         let first = streams.len();
         let mut queues = Vec::with_capacity(workers.len());
         let mut worker_channel = Vec::with_capacity(workers.len());
-        let mut controls = Vec::with_capacity(workers.len());
         for ((idx, &(channel, sf)), sr) in workers.iter().enumerate().zip(receivers) {
             let wstats = stats.worker(idx);
             let queue = Arc::new(ChunkQueue::new(config.queue_capacity, wstats.clone()));
-            let control = Arc::new(WorkerControl::new());
             streams.push(Stream {
                 idx: first + idx,
                 shard,
@@ -785,7 +671,6 @@ impl Shard {
                 sink: sink.clone(),
                 stats: stats.clone(),
                 wstats,
-                control: control.clone(),
                 base_cic: config.cic.clone(),
                 decimation,
                 delay_wideband,
@@ -796,37 +681,36 @@ impl Shard {
             });
             queues.push(queue);
             worker_channel.push(channel);
-            controls.push(control);
         }
 
         let ladder = adaptive.then(|| {
             let worker_sfs: Vec<u8> = workers.iter().map(|&(_, sf)| sf).collect();
-            let overload = OverloadConfig {
-                sic_boost: config.overload.sic_boost || config.cic.sic.enabled(),
-                ..config.overload.clone()
-            };
             ShardLadder {
-                ctl: OverloadController::new(overload, &worker_sfs),
+                ctl: OverloadController::new(
+                    config.overload.clone(),
+                    &worker_sfs,
+                    config.cic.sic.enabled(),
+                ),
                 queue_capacity: config.queue_capacity,
-                controls: controls.clone(),
+                period: config.overload.tick,
+                last_tick: Instant::now(),
                 stats: stats.clone(),
                 wstats: (0..workers.len()).map(|i| stats.worker(i)).collect(),
             }
         });
-        let front = Self {
+        Self {
             channelizer,
             queues,
             worker_channel,
-            controls,
+            ladder,
             stats,
             produced: vec![0; config.channelizer.n_channels()],
             first,
-        };
-        (front, ladder)
+        }
     }
 
-    /// Channelize a chunk of wideband samples and hand each channel's
-    /// output to its streams on `pool`.
+    /// Channelize a chunk of wideband samples, hand each channel's output
+    /// to its streams on `pool`, then tick the ladder if one is due.
     fn push(&mut self, pool: &DecodePool<Stream>, samples: &[Cf32]) {
         self.stats
             .samples_in
@@ -836,6 +720,9 @@ impl Shard {
         let outs = self.channelizer.process(samples);
         self.stats.channelize.record(t0.elapsed());
         self.dispatch(pool, outs);
+        if let Some(ladder) = &mut self.ladder {
+            ladder.tick();
+        }
     }
 
     /// Fan channelizer output out to every worker of its channel and
@@ -871,12 +758,13 @@ impl Shard {
     /// channelizer's group-delay tail to the workers (a packet ending at
     /// capture end keeps its final symbols), and close every queue.
     fn end_input(&mut self, pool: &DecodePool<Stream>) {
-        for c in &self.controls {
+        for idx in 0..self.queues.len() {
             // Shed and degraded workers come back to full effort; a
             // granted SIC boost stays — only heat revokes it, and with
             // the stream ended there is no load left to protect.
-            if c.rung() != SIC_RUNG {
-                c.set_rung(0);
+            let rung = &self.stats.worker(idx).effort_rung;
+            if rung.load(Ordering::Relaxed) != SIC_RUNG as u64 {
+                rung.store(0, Ordering::Relaxed);
             }
         }
         let t0 = Instant::now();
@@ -894,8 +782,8 @@ impl Shard {
     }
 }
 
-/// A running multi-channel gateway: a runtime (decode pool, policy
-/// thread, sink) with one front end (channelizer, stream queues) of its
+/// A running multi-channel gateway: a runtime (decode pool, sink) with
+/// one front end (channelizer, stream queues, overload ladder) of its
 /// own. Feed wideband samples with [`Gateway::push`] (any chunk sizes),
 /// collect merged packets with [`Gateway::poll_packets`] or all at once
 /// from [`Gateway::finish`].
@@ -909,9 +797,8 @@ pub struct Gateway {
 
 impl Gateway {
     /// Validate the configuration, spawn the decode pool —
-    /// `min(workers, cores)` threads serving every (channel, SF) stream —
-    /// and, under the adaptive policy, the control thread, and return a
-    /// ready gateway. An invalid configuration is rejected here with a
+    /// `min(workers, cores)` threads serving every (channel, SF) stream,
+    /// under either policy — and return a ready gateway. An invalid configuration is rejected here with a
     /// typed [`ConfigError`] naming the offending parameters — no thread
     /// is spawned and nothing panics.
     pub fn new(config: GatewayConfig) -> Result<Self, ConfigError> {
@@ -932,8 +819,9 @@ impl Gateway {
     }
 
     /// Feed a chunk of wideband samples. Never blocks: overload is
-    /// absorbed by the degradation ladder and, at the last resort, the
-    /// counted drop-oldest queues.
+    /// absorbed by the degradation ladder, which this call ticks when a
+    /// tick is due, and, at the last resort, the counted drop-oldest
+    /// queues.
     pub fn push(&mut self, samples: &[Cf32]) {
         self.runtime.push(samples);
     }
@@ -969,9 +857,8 @@ impl Gateway {
         self.runtime.release_horizon()
     }
 
-    /// End of stream: stop the control plane, restore every worker to
-    /// full effort so the drain decodes the backlog instead of shedding
-    /// it, flush the channelizer's group-delay tail to the workers (a
+    /// End of stream: restore every worker to full effort so the drain
+    /// decodes the backlog instead of shedding it, flush the channelizer's group-delay tail to the workers (a
     /// packet ending at capture end keeps its final symbols), close all
     /// queues, wait for the pool to drain and flush every stream and
     /// join it, and return the remaining merged packets (everything since
@@ -1035,18 +922,19 @@ mod tests {
 
     #[test]
     fn pool_is_core_sized_plus_the_policy_thread() {
-        // 8 streams: the pool runs min(8, cores) threads, and the policy
-        // thread exists only under the adaptive ladder.
+        // 8 streams: the pool runs min(8, cores) threads under either
+        // policy and is the only thread; the ladder exists only under the
+        // adaptive policy, owned by the shard whose pushes tick it.
         let gw = Gateway::new(config()).expect("valid config");
         assert_eq!(gw.runtime.pool.threads(), available_cores().min(8));
-        assert!(gw.runtime.policy.is_some());
+        assert!(gw.runtime.shards[0].ladder.is_some());
         drop(gw);
 
         let mut cfg = config();
         cfg.overload.policy = OverloadPolicy::DropOldest;
         let gw = Gateway::new(cfg.clone()).expect("valid config");
         assert_eq!(gw.runtime.pool.threads(), available_cores().min(8));
-        assert!(gw.runtime.policy.is_none());
+        assert!(gw.runtime.shards[0].ladder.is_none());
         drop(gw);
 
         for (asked, spawned) in [(1, 1), (3, 3), (64, 8), (0, 1)] {
@@ -1058,13 +946,13 @@ mod tests {
     #[test]
     fn cluster_shards_share_one_core_sized_pool_and_one_policy_thread() {
         // 2 shards of 8 streams each: one pool of min(16, cores) threads
-        // serves both, and one policy thread ticks both shards' ladders
-        // under the adaptive policy (none under drop-oldest).
+        // serves both, and under the adaptive policy each shard owns its
+        // own ladder (none under drop-oldest).
         use crate::cluster::{ClusterConfig, GatewayCluster};
 
         let mut base = config();
         base.channelizer = ChannelizerConfig::uniform(8, 250e3, 500e3, 1e6, 8);
-        for (policy, policy_thread) in [
+        for (policy, ladder) in [
             (OverloadPolicy::Adaptive, true),
             (OverloadPolicy::DropOldest, false),
         ] {
@@ -1084,7 +972,13 @@ mod tests {
                 available_cores().min(16),
                 "{policy:?}"
             );
-            assert_eq!(runtime.policy.is_some(), policy_thread, "{policy:?}");
+            assert!(
+                runtime
+                    .shards()
+                    .iter()
+                    .all(|s| s.ladder.is_some() == ladder),
+                "{policy:?}"
+            );
         }
     }
 
@@ -1316,8 +1210,8 @@ mod tests {
         for _ in 0..4 {
             gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
             // Block on the subscription instead of sleep-polling: silence
-            // never yields a packet, so each bounded wait just gives the
-            // policy thread a few ticks of observed idleness.
+            // never yields a packet, so each bounded wait just makes the
+            // next push's ladder tick due.
             assert!(rx
                 .recv_timeout(std::time::Duration::from_millis(5))
                 .is_err());
@@ -1330,14 +1224,19 @@ mod tests {
 
     #[test]
     fn fully_shed_gateway_stays_live_and_finishes() {
-        // Every worker forced to the shed rung: chunks are discarded and
-        // counted, watermarks keep advancing, and `finish` must return
-        // instead of stalling (or panicking in the sink horizon).
+        // Every worker forced to the shed rung through its gauge: chunks
+        // are discarded and counted, watermarks keep advancing, and
+        // `finish` must return instead of stalling (or panicking in the
+        // sink horizon).
         let mut cfg = config();
-        cfg.overload.policy = OverloadPolicy::DropOldest; // no controller to un-shed
+        cfg.overload.policy = OverloadPolicy::DropOldest; // no ladder to un-shed
         let mut gw = Gateway::new(cfg).expect("valid config");
-        for c in &gw.runtime.shards[0].controls {
-            c.set_rung(SHED_RUNG);
+        let stats = gw.stats();
+        for idx in 0..gw.runtime.shards[0].queues.len() {
+            stats
+                .worker(idx)
+                .effort_rung
+                .store(SHED_RUNG as u64, Ordering::Relaxed);
         }
         for _ in 0..8 {
             gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
@@ -1356,8 +1255,8 @@ mod tests {
 
     #[test]
     fn finish_is_not_quantised_to_the_policy_tick() {
-        // A huge policy tick used to pin shutdown for a full sleep; the
-        // condvar gate wakes the policy thread immediately.
+        // A huge policy tick used to pin shutdown for a full sleep of a
+        // policy thread; ticks now run on push, so `finish` waits on none.
         let mut cfg = config();
         cfg.overload.tick = std::time::Duration::from_secs(60);
         let gw = Gateway::new(cfg).expect("valid config");
@@ -1365,8 +1264,61 @@ mod tests {
         let (_, _) = gw.finish();
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(10),
-            "finish must interrupt the policy tick wait"
+            "finish must not wait out the policy tick"
         );
+    }
+
+    #[test]
+    fn a_silent_gateway_runs_no_ladder_tick() {
+        // Ticks run on push, so while nothing arrives the ladder holds
+        // still: not even a one-tick recovery dwell of 1 ms may grant the
+        // SIC boost (or move any other rung) to an idle stream.
+        let mut cfg = config();
+        cfg.cic.sic = cic::SicConfig::hybrid();
+        cfg.overload.tick = Duration::from_millis(1);
+        cfg.overload.recover_ticks = 1;
+        let gw = Gateway::new(cfg).expect("valid config");
+        std::thread::sleep(Duration::from_millis(100));
+        let (_, snap) = gw.finish();
+        assert!(
+            snap.rung_engagements.iter().all(|&n| n == 0),
+            "an idle gateway moved a rung: {:?}",
+            snap.rung_engagements
+        );
+    }
+
+    #[test]
+    fn pushes_tick_the_ladder_at_most_once_per_tick() {
+        // One pool thread cannot keep 8 capacity-1 queues drained against
+        // unpaced pushes, and with no smoothing and a one-tick escalation
+        // dwell every tick that samples a full queue degrades a stream.
+        // Only the tick period decides whether a push ticks: a period of
+        // an hour admits no tick in the whole burst, a zero period one
+        // per push.
+        for (tick, ticks) in [(Duration::from_secs(3600), false), (Duration::ZERO, true)] {
+            let mut cfg = config();
+            cfg.queue_capacity = 1;
+            cfg.overload.tick = tick;
+            cfg.overload.ewma_alpha = 1.0;
+            cfg.overload.escalate_ticks = 1;
+            let mut gw = Gateway::with_pool_size(cfg, 1).expect("valid config");
+            for _ in 0..64 {
+                gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+            }
+            let (_, snap) = gw.finish();
+            if ticks {
+                assert!(snap.degrade_events > 0, "no push ticked the ladder");
+            } else {
+                assert!(
+                    snap.chunks_dropped > 0,
+                    "the burst never filled a queue; the check is vacuous"
+                );
+                assert_eq!(
+                    snap.degrade_events, 0,
+                    "a push ticked before its tick was due"
+                );
+            }
+        }
     }
 
     // Regression (one test per invalid axis): `Gateway::new` used to

@@ -11,8 +11,8 @@
 //!   merged by one watermark sink into a time-ordered,
 //!   duplicate-suppressed stream of [`GatewayPacket`]s;
 //! * [`load`] — the adaptive overload control plane: a degradation
-//!   ladder that cuts decoder effort, then sheds whole spreading
-//!   factors, before any samples are dropped;
+//!   ladder, ticked by the pushes themselves, that cuts decoder effort,
+//!   then sheds whole spreading factors, before any samples are dropped;
 //! * [`cluster`] — the sharded scale-out tier: N gateway front ends over
 //!   slices of one band, pushed inline on the caller's thread, whose
 //!   streams all report into one sink on global channel indices, so
@@ -37,8 +37,8 @@ pub mod stats;
 pub use cluster::{ClusterConfig, ClusterError, ClusterSnapshot, GatewayCluster, ShardPlan};
 pub use gateway::{ConfigError, Gateway, GatewayConfig};
 pub use load::{
-    ControlAction, LoadMonitor, OverloadConfig, OverloadController, OverloadPolicy, WorkerControl,
-    SHED_RUNG, SIC_RUNG,
+    ControlAction, LoadMonitor, OverloadConfig, OverloadController, OverloadPolicy, SHED_RUNG,
+    SIC_RUNG,
 };
 pub use sink::GatewayPacket;
 pub use stats::{

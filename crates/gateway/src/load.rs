@@ -1,6 +1,6 @@
 //! Load-aware overload control: the degradation ladder.
 //!
-//! The blind drop-oldest policy in [`crate::queue`] loses *samples* —
+//! The blind drop-oldest policy of the decode queues loses *samples* —
 //! and with them every packet straddling the gap — as soon as any worker
 //! falls behind. But sample drops are the most expensive way to shed
 //! load: a LoRa gateway has two cheaper currencies to spend first,
@@ -25,10 +25,12 @@
 //! reset dwell after every transition) so the ladder cannot flap.
 //!
 //! The controller is deliberately pure state-machine: feed it queue
-//! depths, get [`ControlAction`]s back. The gateway's policy thread owns
-//! the clock and the [`WorkerControl`] atomics the workers read.
+//! depths, get [`ControlAction`]s back. The gateway ticks it on the
+//! pushing thread, at most once per push and never sooner than
+//! [`OverloadConfig::tick`] after the previous tick, and publishes each
+//! worker's rung in its [`crate::WorkerStats::effort_rung`] gauge, which
+//! the worker reads before each chunk.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Effort rung meaning "worker is shed": the worker discards its chunks
@@ -40,17 +42,18 @@ pub const SHED_RUNG: usize = usize::MAX;
 /// configuration plus the SIC residual-cancellation stage
 /// ([`cic::sic`]), which multiplies decode cost per chunk. The ladder
 /// orders it strictly above rung 0 — a worker is only promoted here by a
-/// recovery step when [`OverloadConfig::sic_boost`] is set and the whole
-/// gateway has been cool for a sustained period, and it is the first
-/// thing given back when the worker runs hot. Distinct from every rung
-/// [`cic::CicConfig::effort_rung`] understands.
+/// recovery step of an [`OverloadController`] built with `sic_boost`
+/// (the gateway sets it when its base CIC configuration has a SIC stage)
+/// after the whole gateway has been cool for a sustained period, and it
+/// is the first thing given back when the worker runs hot. Distinct from
+/// every rung [`cic::CicConfig::effort_rung`] understands.
 pub const SIC_RUNG: usize = usize::MAX - 1;
 
 /// How the gateway responds when decoders fall behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Per-worker blind drop-oldest only (the legacy behaviour): no
-    /// controller thread, no degradation, queue overflow sheds samples.
+    /// controller, no degradation, queue overflow sheds samples.
     DropOldest,
     /// The adaptive degradation ladder described in the module docs.
     Adaptive,
@@ -61,7 +64,8 @@ pub enum OverloadPolicy {
 pub struct OverloadConfig {
     /// Which policy to run.
     pub policy: OverloadPolicy,
-    /// Control-loop sampling period.
+    /// Least time between two ladder ticks: a push ticks its shard's
+    /// ladder once it has been this long since the previous tick.
     pub tick: Duration,
     /// Queue-occupancy EWMA at or above which a worker counts as hot.
     pub high_occupancy: f64,
@@ -81,11 +85,6 @@ pub struct OverloadConfig {
     /// watermark (see `Gateway` docs); shared here because it is part of
     /// the same liveness/overload control plane.
     pub idle_timeout: Duration,
-    /// Allow recovery steps to promote fully-recovered workers (rung 0)
-    /// to the [`SIC_RUNG`] boost rung, spending spare headroom on the
-    /// SIC residual stage. The gateway enables this automatically when
-    /// its base CIC config has `sic.depth > 0`.
-    pub sic_boost: bool,
     /// Decode-latency EWMA at which a worker saturates the hot signal:
     /// the per-tick load sample is
     /// `max(queue occupancy, decode_ewma / hot_decode)` (latency term
@@ -109,7 +108,6 @@ impl Default for OverloadConfig {
             recover_ticks: 25,
             min_active_sfs: 1,
             idle_timeout: Duration::from_millis(500),
-            sic_boost: false,
             hot_decode: Duration::from_secs(1),
         }
     }
@@ -243,11 +241,16 @@ pub struct OverloadController {
     /// Shed SFs, in shed order (highest first), for reverse recovery.
     shed_stack: Vec<u8>,
     max_rung: usize,
+    /// Whether recovery may promote rung-0 workers to [`SIC_RUNG`].
+    sic_boost: bool,
 }
 
 impl OverloadController {
-    /// A controller for workers decoding the given per-worker SFs.
-    pub fn new(cfg: OverloadConfig, worker_sfs: &[u8]) -> Self {
+    /// A controller for workers decoding the given per-worker SFs. With
+    /// `sic_boost`, recovery steps promote fully recovered workers
+    /// (rung 0) to the [`SIC_RUNG`] boost rung, spending spare headroom
+    /// on the SIC residual stage.
+    pub fn new(cfg: OverloadConfig, worker_sfs: &[u8], sic_boost: bool) -> Self {
         let monitor = LoadMonitor::new(
             worker_sfs.len(),
             cfg.ewma_alpha,
@@ -261,6 +264,7 @@ impl OverloadController {
             rungs: vec![0; worker_sfs.len()],
             shed_stack: Vec::new(),
             max_rung: cic::CicConfig::MAX_EFFORT_RUNG,
+            sic_boost,
         }
     }
 
@@ -401,7 +405,7 @@ impl OverloadController {
                         SHED_RUNG | SIC_RUNG => {}
                         // Fully recovered: the last upward step grants
                         // the SIC boost, and only when configured.
-                        0 if self.cfg.sic_boost => {
+                        0 if self.sic_boost => {
                             self.rungs[w] = SIC_RUNG;
                             actions.push(ControlAction::SetRung {
                                 worker: w,
@@ -428,42 +432,6 @@ impl OverloadController {
             }
         }
         actions
-    }
-}
-
-/// The per-worker mailbox of the control plane: the policy thread writes
-/// the target effort rung, the worker reads it before each chunk.
-pub struct WorkerControl {
-    rung: AtomicUsize,
-}
-
-impl WorkerControl {
-    /// Full effort, not shed.
-    pub fn new() -> Self {
-        Self {
-            rung: AtomicUsize::new(0),
-        }
-    }
-
-    /// Target effort rung ([`SHED_RUNG`] = discard chunks).
-    pub fn rung(&self) -> usize {
-        self.rung.load(Ordering::Relaxed)
-    }
-
-    /// Whether the worker is currently shed.
-    pub fn is_shed(&self) -> bool {
-        self.rung() == SHED_RUNG
-    }
-
-    /// Set the target effort rung.
-    pub fn set_rung(&self, rung: usize) {
-        self.rung.store(rung, Ordering::Relaxed);
-    }
-}
-
-impl Default for WorkerControl {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -500,7 +468,7 @@ mod tests {
 
     #[test]
     fn idle_system_never_degrades() {
-        let mut c = OverloadController::new(cfg(), &sfs());
+        let mut c = OverloadController::new(cfg(), &sfs(), false);
         assert!(tick_n(&mut c, &[0, 0, 0, 0], 8, 100).is_empty());
         assert_eq!(c.active_sfs(), vec![7, 9]);
         assert!((0..4).all(|w| c.rung(w) == 0));
@@ -508,7 +476,7 @@ mod tests {
 
     #[test]
     fn sustained_overload_walks_down_then_sheds_highest_sf() {
-        let mut c = OverloadController::new(cfg(), &sfs());
+        let mut c = OverloadController::new(cfg(), &sfs(), false);
         let full = [8, 8, 8, 8];
         // Rung 1 after the escalation dwell, on every hot worker at once.
         let a = tick_n(&mut c, &full, 8, 2);
@@ -551,7 +519,7 @@ mod tests {
 
     #[test]
     fn recovery_retraces_the_ladder_in_reverse() {
-        let mut c = OverloadController::new(cfg(), &sfs());
+        let mut c = OverloadController::new(cfg(), &sfs(), false);
         tick_n(&mut c, &[8, 8, 8, 8], 8, 6); // down to rung 2 + SF9 shed
         assert_eq!(c.active_sfs(), vec![7]);
         // Cool: first step un-sheds SF9 (at the lowest effort rung)…
@@ -581,7 +549,7 @@ mod tests {
 
     #[test]
     fn one_hot_worker_degrades_alone() {
-        let mut c = OverloadController::new(cfg(), &sfs());
+        let mut c = OverloadController::new(cfg(), &sfs(), false);
         let a = tick_n(&mut c, &[8, 0, 0, 0], 8, 2);
         assert_eq!(
             a,
@@ -598,13 +566,7 @@ mod tests {
 
     #[test]
     fn sic_boost_promotes_only_after_sustained_cool() {
-        let mut c = OverloadController::new(
-            OverloadConfig {
-                sic_boost: true,
-                ..cfg()
-            },
-            &sfs(),
-        );
+        let mut c = OverloadController::new(cfg(), &sfs(), true);
         // Below the recovery dwell: no promotion yet.
         assert!(tick_n(&mut c, &[0, 0, 0, 0], 8, 3).is_empty());
         // The dwell completes: every rung-0 worker gets the boost.
@@ -625,13 +587,7 @@ mod tests {
 
     #[test]
     fn hot_boosted_worker_drops_sic_before_effort_rungs() {
-        let mut c = OverloadController::new(
-            OverloadConfig {
-                sic_boost: true,
-                ..cfg()
-            },
-            &sfs(),
-        );
+        let mut c = OverloadController::new(cfg(), &sfs(), true);
         tick_n(&mut c, &[0, 0, 0, 0], 8, 4);
         assert_eq!(c.rung(0), SIC_RUNG);
         // Worker 0 runs hot: the first downward step lands on plain full
@@ -667,6 +623,7 @@ mod tests {
                 ..cfg()
             },
             &sfs(),
+            false,
         );
         // Worker 0: queue empty, decode EWMA 3× the hot-decode bound.
         // Worker 1: queue full, decodes fast. Workers 2/3: healthy.
@@ -719,7 +676,7 @@ mod tests {
 
     #[test]
     fn hysteresis_requires_sustained_signals() {
-        let mut c = OverloadController::new(cfg(), &sfs());
+        let mut c = OverloadController::new(cfg(), &sfs(), false);
         // Alternating hot/cool never satisfies a 2-tick hot streak.
         for _ in 0..20 {
             assert!(c.tick(&[8, 8, 8, 8], 8).is_empty());

@@ -190,7 +190,7 @@ pub struct LatencyPercentiles {
 /// Per-worker counters and load gauges. A worker owns one
 /// (channel, spreading factor) stream; its queue records overload here,
 /// its decode loop records outcomes and latency, and the overload
-/// controller records degradation activity.
+/// ladder records degradation activity and sets the worker's rung.
 pub struct WorkerStats {
     /// Channel index this worker consumes.
     pub channel: usize,
@@ -212,8 +212,10 @@ pub struct WorkerStats {
     /// EWMA of per-push decode latency, nanoseconds — a gauge, maintained
     /// by the decode loop (single writer).
     pub decode_ewma_ns: AtomicU64,
-    /// Current effort rung — a gauge; 0 = full effort,
-    /// [`crate::load::SHED_RUNG`] = shed.
+    /// The effort rung this worker decodes its next chunk at — a gauge
+    /// the overload ladder writes and the worker reads before each chunk;
+    /// 0 = full effort, [`crate::load::SIC_RUNG`] = full effort plus the
+    /// SIC stage, [`crate::load::SHED_RUNG`] = shed.
     pub effort_rung: AtomicU64,
     /// Chunks discarded while this worker was shed by the overload
     /// policy (distinct from queue-overflow drops).
@@ -382,7 +384,7 @@ pub struct GatewayStats {
     /// Latency of one streaming-receiver push (detection + decode).
     pub decode: LatencyHistogram,
     /// Ladder engagements per rung slot (see [`rung_slot`]): how many
-    /// times the policy thread moved some worker *onto* that rung.
+    /// times the overload ladder moved some worker *onto* that rung.
     rung_engagements: [AtomicU64; RUNG_SLOTS],
     per_worker: Vec<Arc<WorkerStats>>,
 }

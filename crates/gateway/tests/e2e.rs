@@ -338,7 +338,7 @@ fn packet_ending_at_capture_end_decodes_through_flush() {
 fn sic_boost_recovers_buried_packet_when_cool() {
     // A strong and a much weaker SF8 packet collide on one channel. The
     // primary CIC pass cannot decode the weak one, but a gateway with a
-    // configured SIC stage and headroom must: the idle ladder promotes
+    // configured SIC stage and headroom must: the cool ladder promotes
     // the worker to the SIC boost rung, the residual pass subtracts the
     // strong packet and recovers the weak one — exactly once, in order.
     let plan = BandPlan::uniform(2, 250e3, 500e3, 4, 4);
@@ -411,7 +411,9 @@ fn sic_boost_recovers_buried_packet_when_cool() {
         },
     };
     let mut gw = Gateway::new(config).expect("valid config");
-    // Idle dwell: the sustained-cool ladder grants the SIC boost.
+    // The first `recover_ticks` cool pushes grant the SIC boost: each
+    // push ticks the ladder once its 1 ms tick is due, and the sleep
+    // makes the first push's tick due.
     std::thread::sleep(Duration::from_millis(50));
     for chunk in samples.chunks(16_384) {
         gw.push(chunk);
@@ -611,7 +613,6 @@ fn adaptive_policy_beats_drop_oldest_under_overload() {
         recover_ticks: 100_000,
         min_active_sfs: 1,
         idle_timeout: Duration::from_secs(600),
-        sic_boost: false,
         hot_decode: Duration::from_secs(1),
     };
 

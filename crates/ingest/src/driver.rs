@@ -12,14 +12,19 @@
 //! * **loss** (sequence jumps forward): the missing span, measured in
 //!   samples from `first_sample`, is zero-filled up to
 //!   [`IngestConfig::max_zero_fill`] and counted in `samples_gapped`;
-//!   the skipped frames are counted in `frames_dropped`. A gap larger
-//!   than the fill cap is truncated — the gateway time base slips
-//!   relative to the sender's, which is harmless because all decoding
-//!   state derives from gateway time.
+//!   the skipped frames are counted in `frames_dropped`, never more of
+//!   them than the span has samples (every lost data frame carried at
+//!   least one), so a forged sequence number cannot inflate the count.
+//!   A gap larger than the fill cap is truncated — the gateway time base
+//!   slips relative to the sender's, which is harmless because all
+//!   decoding state derives from gateway time.
 //! * **duplicates / reorder** (sequence or position steps backward):
 //!   fully stale frames are rejected (`frames_rejected`); a frame
 //!   partially overlapping samples already pushed has the overlap
-//!   trimmed off its head.
+//!   trimmed off its head. A frame behind the expected sequence number
+//!   that starts exactly at the expected position continues the stream:
+//!   it is accepted and the expected sequence re-anchors on it, so one
+//!   forged sequence number cannot make every later frame look stale.
 //! * **corrupt frames**: counted in `frames_rejected`, payload ignored.
 //!   A decodable frame whose next sequence number or sample span would
 //!   pass `u64::MAX` is corrupt too: it leaves the expected sequence and
@@ -204,17 +209,19 @@ fn drive(
                     continue;
                 };
                 if let Some(exp) = expected_seq {
-                    if f.seq < exp {
+                    if f.seq < exp && expected_pos != Some(f.first_sample) {
                         // A duplicate or late reordering of a frame whose
                         // span was already resolved (delivered or
                         // zero-filled): replaying it would bend time.
                         stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    if f.seq > exp {
-                        stats
-                            .frames_dropped
-                            .fetch_add(f.seq - exp, Ordering::Relaxed);
+                    // Every lost data frame carried at least one sample,
+                    // so the position gap bounds how many were lost.
+                    let gap = expected_pos.map_or(u64::MAX, |p| f.first_sample.saturating_sub(p));
+                    let lost = f.seq.saturating_sub(exp).min(gap);
+                    if lost > 0 {
+                        stats.frames_dropped.fetch_add(lost, Ordering::Relaxed);
                     }
                 }
                 expected_seq = Some(next_seq);

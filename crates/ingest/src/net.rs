@@ -43,7 +43,8 @@ impl Backoff {
     }
 
     /// Back to the base delay (call once the link has proven healthy —
-    /// NOT merely connected; see [`note_frame`]).
+    /// NOT merely connected: the sources call it only once frames have
+    /// kept arriving for a full liveness window).
     pub fn reset(&mut self) {
         self.next = self.base;
     }

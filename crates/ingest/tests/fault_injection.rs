@@ -100,6 +100,32 @@ fn every_fault_is_counted_exactly() {
 }
 
 #[test]
+fn one_forged_sequence_number_does_not_poison_the_stream() {
+    // The second frame's sequence number leaps 2^62 ahead, but it starts
+    // exactly where the first ended: no frame can have been lost, and the
+    // in-order frames after it continue the stream instead of looking
+    // stale.
+    let script = vec![
+        frame(0, 0, 100),
+        frame(1 << 62, 100, 100),
+        frame(1, 200, 100),
+        frame(2, 300, 100),
+        IqEvent::End,
+    ];
+    let sub = IngestDriver::spawn(
+        gateway(),
+        ScriptedSource::new(script),
+        IngestConfig::default(),
+    );
+    let (_, snap) = sub.join();
+
+    assert_eq!(snap.frames_in, 4);
+    assert_eq!(snap.frames_dropped, 0, "no position gap, so no lost frame");
+    assert_eq!(snap.frames_rejected, 0, "the stream resumed at seq 1");
+    assert_eq!(snap.samples_in, 400);
+}
+
+#[test]
 fn frames_overflowing_sequence_or_span_are_rejected() {
     // Both frames decode from the wire, but the next sequence number of
     // the first and the span end of the second pass `u64::MAX`: neither

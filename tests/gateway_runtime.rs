@@ -171,7 +171,8 @@ fn gateway_equals_batch_decode_exactly_once_in_order() {
 fn gateway_dropped_without_finish_frees_every_thread() {
     let plan = plan();
     let samples = capture(&plan);
-    // The adaptive ladder adds the policy thread to the decode pool.
+    // An adaptive gateway: its ladder ticks on the pushing thread, so the
+    // decode pool's threads are all it runs.
     let cfg = GatewayConfig {
         overload: OverloadConfig::default(),
         ..config(&plan)
