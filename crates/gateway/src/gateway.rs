@@ -7,8 +7,8 @@
 //! ```text
 //!                 ╔═════════════ caller thread ═════════════╗
 //! wideband IQ ──▶ ║ Gateway::push ─▶ Channelizer (D-fold)   ║
-//!                 ║ then, at most once per tick, the ladder ║
-//!                 ║ reads the gauges and sets stream rungs  ║
+//!                 ║ then the ladder's due ticks read mean   ║
+//!                 ║ queue depths and set rungs; dispatch    ║
 //!                 ╚══════╤═══════════════╤══════════════════╝
 //!               channel 0│     channel 1 │        …
 //!                  ┌─────┴─────┐   ┌─────┴─────┐
@@ -43,11 +43,15 @@
 //! not grow with the shard count and its merge is the gateway's own.
 //!
 //! Backpressure is layered ([`crate::load`]). `push` never blocks; under
-//! [`OverloadPolicy::Adaptive`] each push, after dispatching its chunk,
-//! samples the shard's queue-depth and decode-latency gauges and ticks
-//! the shard's ladder — at most once per
-//! [`OverloadConfig::tick`](crate::load::OverloadConfig::tick), and a
-//! tick only reads and writes atomics. When decoders fall behind the
+//! [`OverloadPolicy::Adaptive`] each push, before dispatching its chunk,
+//! runs the shard's ladder one tick per whole
+//! [`OverloadConfig::tick`](crate::load::OverloadConfig::tick) since the
+//! previous ticks (at most one dwell's worth), so the ladder's dwells
+//! last the same wall time however far apart pushes come. The ticks
+//! read each stream's mean queue depth since the previous ticks — each
+//! queue integrates its length over time — and its decode-latency
+//! gauge; they take only the queues' own short locks and write atomics.
+//! When decoders fall behind the
 //! ladder first cuts decoder effort on hot streams
 //! ([`cic::CicConfig::effort_rung`]), then sheds whole high-SF streams
 //! (their chunks are discarded and counted, their watermarks keep
@@ -56,7 +60,8 @@
 //! resynchronises across the gap with [`StreamingReceiver::seek_to`].
 //! Recovery retraces the ladder upward under hysteresis. No tick runs
 //! without a push: an idle gateway wakes no thread, and while the
-//! producer is silent every stream keeps its rung.
+//! producer is silent every stream keeps its rung until the next push
+//! counts the silence.
 //!
 //! Liveness: a stream whose queue stays empty for
 //! [`crate::load::OverloadConfig::idle_timeout`] after a turn has caught
@@ -430,66 +435,113 @@ impl Stream {
 }
 
 /// One adaptive shard's overload ladder: its own
-/// [`OverloadController`], the gauges it reads, and the rung gauges and
-/// telemetry it drives. [`Shard::push`] ticks it on the pushing thread.
+/// [`OverloadController`], its tick clock and load samples, and the rung
+/// gauges and telemetry it drives. [`Shard::push`] ticks it on the
+/// pushing thread.
 struct ShardLadder {
     ctl: OverloadController,
     queue_capacity: usize,
-    /// Least time between two ticks ([`OverloadConfig::tick`]).
+    /// Controller tick period ([`OverloadConfig::tick`]).
     period: Duration,
-    /// The previous tick; the ladder's construction before the first.
-    last_tick: Instant,
+    /// Most controller ticks one push runs: the longer of the escalation
+    /// and recovery dwells, so a silence of any length counts as at most
+    /// one full dwell.
+    max_ticks: u32,
+    /// The instant the controller's ticks have been run up to; the
+    /// ladder's construction before the first.
+    clock: Instant,
+    /// When the load was last sampled, and each stream's
+    /// [`ChunkQueue::depth_time`] then.
+    sampled: Instant,
+    depth_times: Vec<u128>,
     stats: Arc<GatewayStats>,
     wstats: Vec<Arc<WorkerStats>>,
 }
 
 impl ShardLadder {
-    /// Tick, unless the previous tick was less than `period` ago:
-    /// sample the shard's queue-depth and decode-latency gauges, run its
-    /// ladder, and apply the transitions to the workers' `effort_rung`
-    /// gauges and telemetry.
-    fn tick(&mut self) {
+    /// Controller ticks due at `now`, at most `max_ticks`, advancing the
+    /// tick clock past them. A zero period makes every push one tick.
+    fn due_ticks(&mut self, now: Instant) -> u32 {
+        if self.period.is_zero() {
+            return 1;
+        }
+        let due = now.saturating_duration_since(self.clock).as_nanos() / self.period.as_nanos();
+        if due >= u128::from(self.max_ticks) {
+            self.clock = now;
+            return self.max_ticks;
+        }
+        let due = due as u32;
+        self.clock += self.period * due;
+        due
+    }
+
+    /// Run the controller ticks due since the previous ones (none if
+    /// less than a period has passed), all on one load sample: each of
+    /// the shard's streams' mean queue depth since the previous sample
+    /// (`queues`, in worker order) — what a tick every period would have
+    /// read on average — and its decode-latency EWMA. The transitions go
+    /// to the workers' `effort_rung` gauges and telemetry.
+    fn tick(&mut self, queues: &[Arc<ChunkQueue>]) {
         let now = Instant::now();
-        if now.duration_since(self.last_tick) < self.period {
+        let due = self.due_ticks(now);
+        if due == 0 {
             return;
         }
-        self.last_tick = now;
-        let depths: Vec<u64> = self
-            .wstats
+        let span = now
+            .saturating_duration_since(self.sampled)
+            .as_nanos()
+            .max(1);
+        self.sampled = now;
+        // Mean depths in thousandths of a chunk, against the capacity in
+        // the same unit.
+        let depths: Vec<u64> = queues
             .iter()
-            .map(|w| w.queue_depth.load(Ordering::Relaxed))
+            .zip(&mut self.depth_times)
+            .map(|(q, prev)| {
+                let held = q.depth_time();
+                let mean = (held - *prev) * 1000 / span;
+                *prev = held;
+                u64::try_from(mean).unwrap_or(u64::MAX)
+            })
             .collect();
         let decode_ewmas: Vec<u64> = self
             .wstats
             .iter()
             .map(|w| w.decode_ewma_ns.load(Ordering::Relaxed))
             .collect();
-        for action in self
-            .ctl
-            .tick_with_decode(&depths, &decode_ewmas, self.queue_capacity)
-        {
-            let (workers, rung, degrade) = match action {
-                ControlAction::SetRung {
-                    worker,
-                    rung,
-                    degrade,
-                } => (vec![worker], rung, degrade),
-                ControlAction::Shed { workers, .. } => (workers, SHED_RUNG, true),
-                ControlAction::Restore { workers, .. } => {
-                    (workers, CicConfig::MAX_EFFORT_RUNG, false)
-                }
-            };
-            for w in workers {
-                let wstats = &self.wstats[w];
-                wstats.effort_rung.store(rung as u64, Ordering::Relaxed);
-                self.stats.record_rung_engagement(rung);
-                let counter = if degrade {
-                    &wstats.degrade_events
-                } else {
-                    &wstats.restore_events
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..due {
+            for action in self.ctl.tick_with_decode(
+                &depths,
+                &decode_ewmas,
+                self.queue_capacity.saturating_mul(1000),
+            ) {
+                self.apply(action);
             }
+        }
+    }
+
+    /// Apply one transition to its workers' `effort_rung` gauges and
+    /// telemetry.
+    fn apply(&self, action: ControlAction) {
+        let (workers, rung, degrade) = match action {
+            ControlAction::SetRung {
+                worker,
+                rung,
+                degrade,
+            } => (vec![worker], rung, degrade),
+            ControlAction::Shed { workers, .. } => (workers, SHED_RUNG, true),
+            ControlAction::Restore { workers, .. } => (workers, CicConfig::MAX_EFFORT_RUNG, false),
+        };
+        for w in workers {
+            let wstats = &self.wstats[w];
+            wstats.effort_rung.store(rung as u64, Ordering::Relaxed);
+            self.stats.record_rung_engagement(rung);
+            let counter = if degrade {
+                &wstats.degrade_events
+            } else {
+                &wstats.restore_events
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -693,7 +745,14 @@ impl Shard {
                 ),
                 queue_capacity: config.queue_capacity,
                 period: config.overload.tick,
-                last_tick: Instant::now(),
+                max_ticks: config
+                    .overload
+                    .escalate_ticks
+                    .max(config.overload.recover_ticks)
+                    .max(1),
+                clock: Instant::now(),
+                sampled: Instant::now(),
+                depth_times: vec![0; workers.len()],
                 stats: stats.clone(),
                 wstats: (0..workers.len()).map(|i| stats.worker(i)).collect(),
             }
@@ -709,8 +768,9 @@ impl Shard {
         }
     }
 
-    /// Channelize a chunk of wideband samples, hand each channel's output
-    /// to its streams on `pool`, then tick the ladder if one is due.
+    /// Channelize a chunk of wideband samples, run the ladder's due ticks,
+    /// then hand each channel's output to its streams on `pool`, so
+    /// every fresh rung applies to the new chunks.
     fn push(&mut self, pool: &DecodePool<Stream>, samples: &[Cf32]) {
         self.stats
             .samples_in
@@ -719,10 +779,10 @@ impl Shard {
         let t0 = Instant::now();
         let outs = self.channelizer.process(samples);
         self.stats.channelize.record(t0.elapsed());
-        self.dispatch(pool, outs);
         if let Some(ladder) = &mut self.ladder {
-            ladder.tick();
+            ladder.tick(&self.queues);
         }
+        self.dispatch(pool, outs);
     }
 
     /// Fan channelizer output out to every worker of its channel and
@@ -1285,6 +1345,62 @@ mod tests {
             "an idle gateway moved a rung: {:?}",
             snap.rung_engagements
         );
+    }
+
+    #[test]
+    fn capacity_one_queues_that_keep_up_never_degrade() {
+        // Silence at 0.2× real time: every stream pops and decodes each
+        // chunk long before the next push, so its mean queue depth is
+        // near zero and the ladder must read every stream cool. A depth
+        // sampled right after each push's dispatch would read every fed
+        // capacity-1 queue full and shed streams that keep up.
+        let mut cfg = config();
+        cfg.queue_capacity = 1;
+        let mut gw = Gateway::new(cfg).expect("valid config");
+        for _ in 0..40 {
+            gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (_, snap) = gw.finish();
+        assert_eq!(snap.degrade_events, 0, "rungs {:?}", snap.rung_engagements);
+        assert_eq!(snap.chunks_shed, 0);
+    }
+
+    #[test]
+    fn sparse_pushes_keep_the_ladder_dwells_in_wall_time() {
+        // A push runs one controller tick per whole period since the
+        // previous ones, carrying the remainder, so dwells counted in
+        // ticks last the same wall time however far apart pushes come; a
+        // long silence counts as at most one full dwell.
+        let stats = Arc::new(GatewayStats::new(&[(0, 7)]));
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut ladder = ShardLadder {
+            ctl: OverloadController::new(OverloadConfig::default(), &[7], false),
+            queue_capacity: 1,
+            period: ms(2),
+            max_ticks: 25,
+            clock: t0,
+            sampled: t0,
+            depth_times: vec![0],
+            stats: stats.clone(),
+            wstats: vec![stats.worker(0)],
+        };
+        assert_eq!(ladder.due_ticks(t0 + ms(1)), 0);
+        assert_eq!(ladder.due_ticks(t0 + ms(7)), 3);
+        assert_eq!(
+            ladder.due_ticks(t0 + ms(8)),
+            1,
+            "the 1 ms remainder carries"
+        );
+        assert_eq!(ladder.due_ticks(t0 + ms(1000)), 25, "capped at one dwell");
+        assert_eq!(
+            ladder.due_ticks(t0 + ms(1001)),
+            0,
+            "a capped silence is gone"
+        );
+        ladder.period = Duration::ZERO;
+        assert_eq!(ladder.due_ticks(t0 + ms(1001)), 1);
     }
 
     #[test]

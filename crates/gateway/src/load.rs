@@ -26,10 +26,12 @@
 //!
 //! The controller is deliberately pure state-machine: feed it queue
 //! depths, get [`ControlAction`]s back. The gateway ticks it on the
-//! pushing thread, at most once per push and never sooner than
-//! [`OverloadConfig::tick`] after the previous tick, and publishes each
-//! worker's rung in its [`crate::WorkerStats::effort_rung`] gauge, which
-//! the worker reads before each chunk.
+//! pushing thread: before dispatching a push, it runs one tick per whole
+//! [`OverloadConfig::tick`] since the previous ticks, all on each
+//! worker's mean queue depth over that time, so dwells counted in ticks
+//! keep their wall-clock length. It publishes each worker's rung in its
+//! [`crate::WorkerStats::effort_rung`] gauge, which the worker reads
+//! before each chunk.
 
 use std::time::Duration;
 
@@ -64,8 +66,10 @@ pub enum OverloadPolicy {
 pub struct OverloadConfig {
     /// Which policy to run.
     pub policy: OverloadPolicy,
-    /// Least time between two ladder ticks: a push ticks its shard's
-    /// ladder once it has been this long since the previous tick.
+    /// Controller tick period: a push runs one ladder tick per whole
+    /// period since the previous ticks, all on the mean queue depths
+    /// over that time (at most `escalate_ticks.max(recover_ticks)` ticks
+    /// per push). Zero makes every push one tick.
     pub tick: Duration,
     /// Queue-occupancy EWMA at or above which a worker counts as hot.
     pub high_occupancy: f64,

@@ -6,11 +6,14 @@
 //! the freshest samples are the ones that can still complete a packet —
 //! and the loss is counted. Chunks carry their absolute stream position,
 //! so the consumer sees the gap explicitly and can resynchronise with
-//! [`cic::StreamingReceiver::seek_to`].
+//! [`cic::StreamingReceiver::seek_to`]. The queue also integrates its
+//! length over time, so the overload ladder reads the mean depth across
+//! any interval, however seldom it looks.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use lora_dsp::Cf32;
 
@@ -29,6 +32,19 @@ pub(crate) struct Chunk {
 struct Inner {
     queue: VecDeque<Chunk>,
     closed: bool,
+    /// Queue length integrated over time up to `since`, chunk-nanoseconds.
+    depth_time: u128,
+    since: Instant,
+}
+
+impl Inner {
+    /// Integrate the queue length held since `since` up to `now`. Call
+    /// it before every change of the length.
+    fn accrue(&mut self, now: Instant) {
+        let held = now.saturating_duration_since(self.since).as_nanos();
+        self.depth_time += self.queue.len() as u128 * held;
+        self.since = now;
+    }
 }
 
 /// Outcome of a [`ChunkQueue::try_pop`].
@@ -61,6 +77,8 @@ impl ChunkQueue {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 closed: false,
+                depth_time: 0,
+                since: Instant::now(),
             }),
             stats,
         }
@@ -80,6 +98,7 @@ impl ChunkQueue {
             self.stats.chunks_dropped.fetch_add(1, Ordering::Relaxed);
             return 1;
         }
+        inner.accrue(Instant::now());
         let mut dropped = 0;
         while inner.queue.len() >= self.capacity {
             let old = inner.queue.pop_front().expect("non-empty when full");
@@ -104,6 +123,9 @@ impl ChunkQueue {
     /// drained.
     pub(crate) fn try_pop(&self) -> Pop {
         let mut inner = self.inner.lock().unwrap();
+        if !inner.queue.is_empty() {
+            inner.accrue(Instant::now());
+        }
         if let Some(chunk) = inner.queue.pop_front() {
             self.stats
                 .queue_depth
@@ -122,6 +144,15 @@ impl ChunkQueue {
     pub(crate) fn is_idle(&self) -> bool {
         let inner = self.inner.lock().unwrap();
         inner.queue.is_empty() && !inner.closed
+    }
+
+    /// Queue length integrated over time up to now, chunk-nanoseconds:
+    /// its growth across an interval, divided by the interval, is the
+    /// mean depth over it.
+    pub(crate) fn depth_time(&self) -> u128 {
+        let mut inner = self.inner.lock().unwrap();
+        inner.accrue(Instant::now());
+        inner.depth_time
     }
 
     /// Close the queue: producers become no-ops, consumers drain the
@@ -237,6 +268,22 @@ mod tests {
         q.close();
         assert!(!q.is_idle(), "a closed queue still has its end to report");
         assert!(matches!(q.try_pop(), Pop::Closed));
+    }
+
+    #[test]
+    fn depth_time_integrates_the_length_held() {
+        let (q, _) = queue(8);
+        q.push(chunk(0, 1));
+        q.push(chunk(1, 1));
+        let held = q.depth_time();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Two chunks held for at least 20 ms.
+        assert!(q.depth_time() - held >= 2 * 20_000_000);
+        q.try_pop();
+        q.try_pop();
+        let drained = q.depth_time();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.depth_time(), drained, "an empty queue accrues nothing");
     }
 
     #[test]

@@ -215,7 +215,10 @@ pub struct WorkerStats {
     /// The effort rung this worker decodes its next chunk at — a gauge
     /// the overload ladder writes and the worker reads before each chunk;
     /// 0 = full effort, [`crate::load::SIC_RUNG`] = full effort plus the
-    /// SIC stage, [`crate::load::SHED_RUNG`] = shed.
+    /// SIC stage, [`crate::load::SHED_RUNG`] = shed. End of input resets
+    /// it to 0 for the drain, unless the SIC boost was granted, so after
+    /// `finish` it reads 0 or [`crate::load::SIC_RUNG`], not the rung the
+    /// ladder last set.
     pub effort_rung: AtomicU64,
     /// Chunks discarded while this worker was shed by the overload
     /// policy (distinct from queue-overflow drops).
@@ -332,7 +335,8 @@ pub struct WorkerSnapshot {
     pub crc_failures: u64,
     /// Decode latency EWMA, nanoseconds.
     pub decode_ewma_ns: u64,
-    /// Effort rung at snapshot time (0 = full effort).
+    /// Effort rung at snapshot time (0 = full effort); see
+    /// [`WorkerStats::effort_rung`] for its value after `finish`.
     pub effort_rung: u64,
     /// Chunks discarded while shed.
     pub chunks_shed: u64,

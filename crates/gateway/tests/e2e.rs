@@ -411,9 +411,9 @@ fn sic_boost_recovers_buried_packet_when_cool() {
         },
     };
     let mut gw = Gateway::new(config).expect("valid config");
-    // The first `recover_ticks` cool pushes grant the SIC boost: each
-    // push ticks the ladder once its 1 ms tick is due, and the sleep
-    // makes the first push's tick due.
+    // The first `recover_ticks` cool ticks grant the SIC boost. Each push
+    // runs one tick per 1 ms elapsed since the previous ones, so the
+    // first push counts this sleep as a full recovery dwell.
     std::thread::sleep(Duration::from_millis(50));
     for chunk in samples.chunks(16_384) {
         gw.push(chunk);

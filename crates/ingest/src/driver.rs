@@ -19,11 +19,11 @@
 //!   slips relative to the sender's, which is harmless because all
 //!   decoding state derives from gateway time.
 //! * **duplicates / reorder** (sequence or position steps backward):
-//!   fully stale frames are rejected (`frames_rejected`); a frame
-//!   partially overlapping samples already pushed has the overlap
-//!   trimmed off its head. A frame behind the expected sequence number
-//!   that starts exactly at the expected position continues the stream:
-//!   it is accepted and the expected sequence re-anchors on it, so one
+//!   position alone decides staleness. A frame ending at or before the
+//!   stream head is rejected (`frames_rejected`) and moves no
+//!   expectation; a frame partially overlapping samples already pushed
+//!   has the overlap trimmed off its head. The expected sequence
+//!   re-anchors on every accepted frame, even one behind it, so one
 //!   forged sequence number cannot make every later frame look stale.
 //! * **corrupt frames**: counted in `frames_rejected`, payload ignored.
 //!   A decodable frame whose next sequence number or sample span would
@@ -208,32 +208,26 @@ fn drive(
                     stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                     continue;
                 };
-                if let Some(exp) = expected_seq {
-                    if f.seq < exp && expected_pos != Some(f.first_sample) {
-                        // A duplicate or late reordering of a frame whose
-                        // span was already resolved (delivered or
-                        // zero-filled): replaying it would bend time.
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
+                let exp = expected_pos.unwrap_or(f.first_sample);
+                if frame_end <= exp {
+                    // Entirely behind the stream head: a duplicate, a late
+                    // reordering of a span already resolved (delivered or
+                    // zero-filled), or a sender restart re-announcing old
+                    // positions. Replaying it would bend time.
+                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                let gap = f.first_sample.saturating_sub(exp);
+                if let Some(exp_seq) = expected_seq {
                     // Every lost data frame carried at least one sample,
                     // so the position gap bounds how many were lost.
-                    let gap = expected_pos.map_or(u64::MAX, |p| f.first_sample.saturating_sub(p));
-                    let lost = f.seq.saturating_sub(exp).min(gap);
+                    let lost = f.seq.saturating_sub(exp_seq).min(gap);
                     if lost > 0 {
                         stats.frames_dropped.fetch_add(lost, Ordering::Relaxed);
                     }
                 }
                 expected_seq = Some(next_seq);
-                let exp = expected_pos.unwrap_or(f.first_sample);
-                if frame_end <= exp {
-                    // Entirely behind the stream head (seq said "new" but
-                    // the samples are old — a sender restart, say).
-                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if f.first_sample > exp {
-                    let gap = f.first_sample - exp;
+                if gap > 0 {
                     let fill = gap.min(cfg.max_zero_fill);
                     push_zeros(&mut gw, fill);
                     stats.samples_gapped.fetch_add(fill, Ordering::Relaxed);

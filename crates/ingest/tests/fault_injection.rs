@@ -68,8 +68,8 @@ fn every_fault_is_counted_exactly() {
         IqEvent::Idle,
         // seq 2 lost: one frame dropped, its 500-sample span zero-filled.
         frame(3, 2500, 1000),
-        // Late reordered arrival of the lost frame: its seq is already
-        // behind the head, so it cannot be replayed.
+        // Late reordered arrival of the lost frame: its span is already
+        // behind the head (zero-filled), so it cannot be replayed.
         frame(2, 2000, 500),
         // A disconnect/reconnect cycle somewhere in between.
         IqEvent::Reconnected,
@@ -101,28 +101,42 @@ fn every_fault_is_counted_exactly() {
 
 #[test]
 fn one_forged_sequence_number_does_not_poison_the_stream() {
-    // The second frame's sequence number leaps 2^62 ahead, but it starts
-    // exactly where the first ended: no frame can have been lost, and the
-    // in-order frames after it continue the stream instead of looking
-    // stale.
-    let script = vec![
+    // A forged frame's sequence number leaps 2^62 ahead, but it starts
+    // exactly where the stream head is: no frame can have been lost, and
+    // the in-order frames after it continue the stream instead of looking
+    // stale — whether the forged span ends where a real frame begins or
+    // in the middle of one, whose overlap is then trimmed.
+    let on_grid = vec![
         frame(0, 0, 100),
         frame(1 << 62, 100, 100),
         frame(1, 200, 100),
         frame(2, 300, 100),
         IqEvent::End,
     ];
-    let sub = IngestDriver::spawn(
-        gateway(),
-        ScriptedSource::new(script),
-        IngestConfig::default(),
-    );
-    let (_, snap) = sub.join();
+    let off_grid = vec![
+        frame(0, 0, 100),
+        frame(1, 100, 100),
+        frame(1 << 62, 200, 50),
+        frame(2, 200, 100),
+        frame(3, 300, 100),
+        IqEvent::End,
+    ];
+    for (script, frames) in [(on_grid, 4), (off_grid, 5)] {
+        let sub = IngestDriver::spawn(
+            gateway(),
+            ScriptedSource::new(script),
+            IngestConfig::default(),
+        );
+        let (_, snap) = sub.join();
 
-    assert_eq!(snap.frames_in, 4);
-    assert_eq!(snap.frames_dropped, 0, "no position gap, so no lost frame");
-    assert_eq!(snap.frames_rejected, 0, "the stream resumed at seq 1");
-    assert_eq!(snap.samples_in, 400);
+        assert_eq!(snap.frames_in, frames);
+        assert_eq!(snap.frames_dropped, 0, "no position gap, so no lost frame");
+        assert_eq!(
+            snap.frames_rejected, 0,
+            "the stream resumed behind the leap"
+        );
+        assert_eq!(snap.samples_in, 400);
+    }
 }
 
 #[test]
