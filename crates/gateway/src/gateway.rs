@@ -549,8 +549,10 @@ impl ShardLadder {
 /// Everything a [`Gateway`] or a [`crate::GatewayCluster`] runs: its
 /// shards' front ends (each adaptive one with its own ladder), the one
 /// sink all their (channel, SF) streams report into on global channel
-/// indices, and one decode pool serving every stream. The pool's threads
-/// are running when [`Runtime::spawn`] returns; nothing is spawned later.
+/// indices, and one decode pool serving every stream. [`Runtime::spawn`]
+/// starts the pool's first thread, which starts the rest as a fork tree
+/// before it serves (see [`crate::pool`]); no thread is spawned after
+/// the tree.
 ///
 /// Dropped without [`Runtime::finish`], the runtime stops its threads
 /// without draining: each pool thread exits after its current turn.
@@ -1349,17 +1351,28 @@ mod tests {
 
     #[test]
     fn capacity_one_queues_that_keep_up_never_degrade() {
-        // Silence at 0.2× real time: every stream pops and decodes each
-        // chunk long before the next push, so its mean queue depth is
-        // near zero and the ladder must read every stream cool. A depth
-        // sampled right after each push's dispatch would read every fed
-        // capacity-1 queue full and shed streams that keep up.
+        // Silence through capacity-1 queues whose streams keep up: each
+        // stream takes its chunk off the queue long before the next push,
+        // so its mean queue depth stays low and the ladder must read every
+        // stream cool. A depth sampled right after each push's dispatch
+        // would read every fed capacity-1 queue full and shed streams that
+        // keep up. The pace comes from the pool, timed in-process: after
+        // each push the test waits until every queue is empty, then four
+        // times as long again (at least 20 ms, 0.2× real time), so no
+        // queue holds a chunk for more than a fifth of the time between
+        // two pushes, however slowly other work on the cores lets the
+        // pool run.
         let mut cfg = config();
         cfg.queue_capacity = 1;
         let mut gw = Gateway::new(cfg).expect("valid config");
         for _ in 0..40 {
+            let t0 = Instant::now();
             gw.push(&vec![Cf32::new(0.0, 0.0); 4096]);
-            std::thread::sleep(Duration::from_millis(20));
+            while gw.runtime.shards[0].queues.iter().any(|q| !q.is_empty()) {
+                assert!(t0.elapsed() < Duration::from_secs(20), "the pool stalled");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            std::thread::sleep((4 * t0.elapsed()).max(Duration::from_millis(20)));
         }
         let (_, snap) = gw.finish();
         assert_eq!(snap.degrade_events, 0, "rungs {:?}", snap.rung_engagements);

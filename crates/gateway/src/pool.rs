@@ -22,8 +22,16 @@
 //!   even while other streams keep every thread busy. Threads with
 //!   nothing ready sleep on a condvar until the earliest deadline or the
 //!   next wake — there is no fixed polling period.
+//!
+//! The threads start as a fork tree, so construction costs one thread
+//! spawn at any pool size: the caller starts pool thread 0, and pool
+//! thread `i` starts threads `2i + 1` and `2i + 2` (those below the pool
+//! size) before it serves, then joins them after it serves and re-raises
+//! a child's panic. Joining thread 0 therefore joins the whole pool. A
+//! thread that cannot start a child serves on with the threads it has.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -118,6 +126,10 @@ struct Shared<T> {
     sched: Mutex<Sched<T>>,
     cv: Condvar,
     idle_timeout: Duration,
+    /// Pool size: the fork tree starts threads `0..threads`.
+    threads: usize,
+    /// Thread name prefix; pool thread `i` is `{name}-{i}`.
+    name: String,
 }
 
 impl<T> Shared<T> {
@@ -139,13 +151,16 @@ impl<T> Shared<T> {
 /// docs.
 pub(crate) struct DecodePool<T: Task> {
     shared: Arc<Shared<T>>,
-    handles: Vec<JoinHandle<()>>,
+    /// Pool thread 0, the root of the fork tree; `None` once joined.
+    root: Option<JoinHandle<()>>,
 }
 
 impl<T: Task> DecodePool<T> {
-    /// Spawn `threads` (at least one) threads named `{name}-{i}` serving
-    /// `tasks`. Every task starts parked; [`DecodePool::wake`] hands it
-    /// work.
+    /// Start `threads` (at least one) threads named `{name}-{i}` serving
+    /// `tasks`: this spawns thread 0, which starts the rest as a fork
+    /// tree (see the module docs). Every task starts parked;
+    /// [`DecodePool::wake`] hands it work, whether or not the thread
+    /// that will serve it has started yet.
     pub(crate) fn spawn(tasks: Vec<T>, threads: usize, idle_timeout: Duration, name: &str) -> Self {
         let live = tasks.len();
         let shared = Arc::new(Shared {
@@ -158,23 +173,20 @@ impl<T: Task> DecodePool<T> {
             }),
             cv: Condvar::new(),
             idle_timeout,
+            threads: threads.max(1),
+            name: name.to_owned(),
         });
-        let handles = (0..threads.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || serve(&shared))
-                    .expect("spawn decode pool thread")
-            })
-            .collect();
-        Self { shared, handles }
+        let root = start(shared.clone(), 0).expect("spawn decode pool thread");
+        Self {
+            shared,
+            root: Some(root),
+        }
     }
 
-    /// Number of pool threads (zero once joined).
+    /// Number of pool threads the fork tree starts (zero once joined).
     #[cfg(test)]
     pub(crate) fn threads(&self) -> usize {
-        self.handles.len()
+        self.root.as_ref().map_or(0, |_| self.shared.threads)
     }
 
     /// Tell the pool that tasks `idxs` have new work. A task between
@@ -210,8 +222,8 @@ impl<T: Task> DecodePool<T> {
             }
             self.shared.cv.notify_all();
         }
-        for h in std::mem::take(&mut self.handles) {
-            h.join().expect("decode pool thread panicked");
+        if let Some(root) = self.root.take() {
+            root.join().expect("decode pool thread panicked");
         }
     }
 
@@ -221,8 +233,8 @@ impl<T: Task> DecodePool<T> {
     pub(crate) fn abort(&mut self) {
         self.shared.lock().abort = true;
         self.shared.cv.notify_all();
-        for h in std::mem::take(&mut self.handles) {
-            let _ = h.join();
+        if let Some(root) = self.root.take() {
+            let _ = root.join();
         }
     }
 }
@@ -247,7 +259,36 @@ impl<T> Drop for AbortOnPanic<'_, T> {
     }
 }
 
-/// Body of one pool thread.
+/// Spawn pool thread `i`.
+fn start<T: Task>(shared: Arc<Shared<T>>, i: usize) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("{}-{i}", shared.name))
+        .spawn(move || run(&shared, i))
+}
+
+/// Body of pool thread `i`: start its children in the fork tree, serve,
+/// then join the children. Its own panic or a child's is re-raised only
+/// once every child is joined, so a joined thread's whole subtree has
+/// exited.
+fn run<T: Task>(shared: &Arc<Shared<T>>, i: usize) {
+    let children: Vec<JoinHandle<()>> = [2 * i + 1, 2 * i + 2]
+        .into_iter()
+        .filter(|&child| child < shared.threads)
+        .filter_map(|child| start(shared.clone(), child).ok())
+        .collect();
+    let mut outcome = panic::catch_unwind(AssertUnwindSafe(|| serve(shared)));
+    for child in children {
+        let joined = child.join();
+        if outcome.is_ok() {
+            outcome = joined;
+        }
+    }
+    if let Err(payload) = outcome {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// Serve turns until every task has finished or the pool aborts.
 fn serve<T: Task>(shared: &Shared<T>) {
     let _guard = AbortOnPanic(shared);
     let mut sched = shared.lock();
@@ -454,6 +495,118 @@ mod tests {
             want.push(Turn::Finished);
             assert_eq!(turns, want, "stream {id}");
         }
+    }
+
+    /// A task whose one turn runs a closure.
+    struct Once(Box<dyn FnMut() + Send>);
+
+    impl Task for Once {
+        fn turn(&mut self) -> Turn {
+            (self.0)();
+            Turn::Finished
+        }
+
+        fn has_work(&self) -> bool {
+            true
+        }
+    }
+
+    type Gate = Arc<(Mutex<usize>, Condvar)>;
+
+    /// Arrive at `gate` and wait, up to 20 s, until `n` callers have
+    /// arrived. Returns whether they all did.
+    fn meet(gate: &Gate, n: usize) -> bool {
+        let (arrived, cv) = &**gate;
+        let mut arrived = arrived.lock().unwrap();
+        *arrived += 1;
+        cv.notify_all();
+        !cv.wait_timeout_while(arrived, Duration::from_secs(20), |a| *a < n)
+            .unwrap()
+            .1
+            .timed_out()
+    }
+
+    /// `n` tasks whose turns each meet at one gate of `n`, then run
+    /// `after`.
+    fn meeting(n: usize, after: impl Fn() + Clone + Send + 'static) -> Vec<Once> {
+        let gate: Gate = Arc::new((Mutex::new(0), Condvar::new()));
+        (0..n)
+            .map(|_| {
+                let (gate, after) = (gate.clone(), after.clone());
+                Once(Box::new(move || {
+                    assert!(meet(&gate, n), "the turns never all ran at once");
+                    after();
+                }))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_thread_of_the_fork_tree_serves_at_once() {
+        // n turns that each wait for all n can only complete on n threads
+        // serving at once, whatever the depth of the tree that started
+        // them; a turn that times out panics, and `finish` with it.
+        for n in [1, 2, 3, 5, 8] {
+            let mut pool =
+                DecodePool::spawn(meeting(n, || {}), n, Duration::from_secs(600), "test-pool");
+            assert_eq!(pool.threads(), n);
+            let shared = Arc::downgrade(&pool.shared);
+            pool.finish();
+            // The drop joins nothing more: `finish` joined every thread.
+            drop(pool);
+            assert!(
+                shared.upgrade().is_none(),
+                "a thread of a pool of {n} outlived finish"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_turn_makes_finish_panic() {
+        // Each of 4 threads holds one turn at the gate; the turn on
+        // thread 3, a grandchild of thread 0, panics. The panic reaches
+        // `finish` through threads 1 and 0, which join every thread
+        // first.
+        let tasks = meeting(4, || {
+            if std::thread::current().name() == Some("test-pool-3") {
+                panic!("a turn panicked");
+            }
+        });
+        let mut pool = DecodePool::spawn(tasks, 4, Duration::from_secs(600), "test-pool");
+        let shared = Arc::downgrade(&pool.shared);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.finish()))
+            .expect_err("finish must re-raise the turn's panic");
+        let message = caught
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            message.starts_with("decode pool thread panicked"),
+            "{message}"
+        );
+        drop(pool);
+        assert!(shared.upgrade().is_none(), "a pool thread outlived finish");
+    }
+
+    #[test]
+    fn a_pool_dropped_after_a_panicking_turn_stops_every_thread() {
+        let mut tasks = vec![Once(Box::new(|| panic!("a turn panicked")))];
+        tasks.extend((0..3).map(|_| Once(Box::new(|| {}))));
+        let pool = DecodePool::spawn(tasks, 4, Duration::from_secs(600), "test-pool");
+        pool.wake([0]);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !pool.shared.lock().abort {
+            assert!(
+                Instant::now() < deadline,
+                "the panic never stopped the pool"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert!(
+            shared.upgrade().is_none(),
+            "a pool thread outlived the drop"
+        );
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //!   the skipped frames are counted in `frames_dropped`, never more of
 //!   them than the span has samples (every lost data frame carried at
 //!   least one), so a forged sequence number cannot inflate the count.
-//!   A gap larger than the fill cap is truncated — the gateway time base
-//!   slips relative to the sender's, which is harmless because all
-//!   decoding state derives from gateway time.
+//! * **leaps** (a gap larger than the fill cap): the frame is held until
+//!   the next frame arrives. If that one starts where the held frame
+//!   ends, it confirms a sender clock jump: the held frame's gap is
+//!   zero-filled up to the cap, and the gateway time base slips relative
+//!   to the sender's, which is harmless because all decoding state
+//!   derives from gateway time. Otherwise the held frame is rejected
+//!   (`frames_rejected`) and moves nothing, so one frame forging a far
+//!   position cannot make every later in-order frame look stale. A frame
+//!   still held when the stream ends is rejected too.
 //! * **duplicates / reorder** (sequence or position steps backward):
 //!   position alone decides staleness. A frame ending at or before the
 //!   stream head is rejected (`frames_rejected`) and moves no
@@ -42,7 +48,7 @@ use std::time::Duration;
 use lora_dsp::Cf32;
 use lora_gateway::{Gateway, GatewayPacket, GatewaySnapshot, GatewayStats};
 
-use crate::source::{IqEvent, IqSource};
+use crate::source::{IqEvent, IqFrame, IqSource};
 
 /// Driver tuning.
 #[derive(Debug, Clone)]
@@ -51,7 +57,8 @@ pub struct IngestConfig {
     /// in the sink backlog (never lost, possibly late).
     pub subscription_capacity: usize,
     /// Largest gap (in samples) repaired by zero-fill; bigger gaps slip
-    /// the time base instead of stalling ingest on gigabytes of zeros.
+    /// the time base instead of stalling ingest on gigabytes of zeros,
+    /// once the next frame confirms them.
     pub max_zero_fill: u64,
 }
 
@@ -180,6 +187,80 @@ fn push_zeros(gw: &mut Gateway, n: u64) {
     }
 }
 
+/// The sender's stream as repaired so far: the next expected sequence
+/// number and sample position, in the *sender's* coordinates (`None`
+/// until the first frame anchors them), and a frame held until the next
+/// one confirms its leap.
+#[derive(Default)]
+struct Repair {
+    seq: Option<u64>,
+    pos: Option<u64>,
+    /// A frame whose gap exceeds the zero-fill cap, and its end.
+    leap: Option<(IqFrame, u64)>,
+}
+
+impl Repair {
+    /// Take one frame off the wire: decide a held leap by it, then
+    /// reject, hold or push the frame itself.
+    fn frame(&mut self, f: IqFrame, gw: &mut Gateway, stats: &GatewayStats, max_zero_fill: u64) {
+        if let Some((leap, leap_end)) = self.leap.take() {
+            if f.first_sample == leap_end {
+                self.accept(leap, gw, stats, max_zero_fill);
+            } else {
+                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // A frame whose sequence or span runs past `u64::MAX` is well
+        // formed on the wire but cannot continue any stream: reject it
+        // before it moves a counter or an expectation.
+        let len = f.samples.len() as u64;
+        let (Some(_), Some(end)) = (f.seq.checked_add(1), f.first_sample.checked_add(len)) else {
+            stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let exp = self.pos.unwrap_or(f.first_sample);
+        if end <= exp {
+            // Entirely behind the stream head: a duplicate, a late
+            // reordering of a span already resolved (delivered or
+            // zero-filled), or a sender restart re-announcing old
+            // positions. Replaying it would bend time.
+            stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+        } else if f.first_sample.saturating_sub(exp) > max_zero_fill {
+            self.leap = Some((f, end));
+        } else {
+            self.accept(f, gw, stats, max_zero_fill);
+        }
+    }
+
+    /// Push a frame that is not behind the head: count the frames its
+    /// sequence number skips, zero-fill its gap up to the cap, trim its
+    /// overlap, and move the expectations to its end.
+    fn accept(&mut self, f: IqFrame, gw: &mut Gateway, stats: &GatewayStats, max_zero_fill: u64) {
+        let exp = self.pos.unwrap_or(f.first_sample);
+        let gap = f.first_sample.saturating_sub(exp);
+        if let Some(exp_seq) = self.seq {
+            // Every lost data frame carried at least one sample, so the
+            // position gap bounds how many were lost.
+            let lost = f.seq.saturating_sub(exp_seq).min(gap);
+            if lost > 0 {
+                stats.frames_dropped.fetch_add(lost, Ordering::Relaxed);
+            }
+        }
+        if gap > 0 {
+            let fill = gap.min(max_zero_fill);
+            push_zeros(gw, fill);
+            stats.samples_gapped.fetch_add(fill, Ordering::Relaxed);
+        }
+        // Overlap with already-pushed samples is trimmed off the head;
+        // `skip == 0` in the common contiguous case.
+        let skip = exp.saturating_sub(f.first_sample) as usize;
+        gw.push(&f.samples[skip..]);
+        // `frame` checked that neither sum overflows.
+        self.seq = Some(f.seq + 1);
+        self.pos = Some(f.first_sample + f.samples.len() as u64);
+    }
+}
+
 fn drive(
     mut gw: Gateway,
     mut source: impl IqSource,
@@ -187,10 +268,7 @@ fn drive(
     stats: Arc<GatewayStats>,
     state: Arc<AtomicU8>,
 ) -> Drained {
-    // Next expected sequence number / stream position, in the *sender's*
-    // coordinates. `None` until the first frame anchors them.
-    let mut expected_seq: Option<u64> = None;
-    let mut expected_pos: Option<u64> = None;
+    let mut stream = Repair::default();
     loop {
         if state.load(Ordering::Acquire) != RUN {
             break;
@@ -198,45 +276,7 @@ fn drive(
         match source.next_event() {
             IqEvent::Frame(f) => {
                 stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                // A frame whose sequence or span runs past `u64::MAX` is
-                // well formed on the wire but cannot continue any stream:
-                // reject it before it moves a counter or an expectation.
-                let len = f.samples.len() as u64;
-                let (Some(next_seq), Some(frame_end)) =
-                    (f.seq.checked_add(1), f.first_sample.checked_add(len))
-                else {
-                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let exp = expected_pos.unwrap_or(f.first_sample);
-                if frame_end <= exp {
-                    // Entirely behind the stream head: a duplicate, a late
-                    // reordering of a span already resolved (delivered or
-                    // zero-filled), or a sender restart re-announcing old
-                    // positions. Replaying it would bend time.
-                    stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let gap = f.first_sample.saturating_sub(exp);
-                if let Some(exp_seq) = expected_seq {
-                    // Every lost data frame carried at least one sample,
-                    // so the position gap bounds how many were lost.
-                    let lost = f.seq.saturating_sub(exp_seq).min(gap);
-                    if lost > 0 {
-                        stats.frames_dropped.fetch_add(lost, Ordering::Relaxed);
-                    }
-                }
-                expected_seq = Some(next_seq);
-                if gap > 0 {
-                    let fill = gap.min(cfg.max_zero_fill);
-                    push_zeros(&mut gw, fill);
-                    stats.samples_gapped.fetch_add(fill, Ordering::Relaxed);
-                }
-                // Overlap with already-pushed samples is trimmed off the
-                // head; `skip == 0` in the common contiguous case.
-                let skip = exp.saturating_sub(f.first_sample) as usize;
-                gw.push(&f.samples[skip..]);
-                expected_pos = Some(frame_end);
+                stream.frame(f, &mut gw, &stats, cfg.max_zero_fill);
             }
             IqEvent::Idle => {}
             IqEvent::Reconnected => {
@@ -247,6 +287,10 @@ fn drive(
             }
             IqEvent::End => break,
         }
+    }
+    // No frame came to confirm a held leap.
+    if stream.leap.is_some() {
+        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
     }
     // Abandoned: dropping the gateway stops its threads without a drain.
     (state.load(Ordering::Acquire) != ABANDON).then(|| gw.finish())

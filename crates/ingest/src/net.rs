@@ -11,9 +11,13 @@ use lora_dsp::Cf32;
 
 use crate::protocol::{
     decode_frame, decode_header, decode_payload, encode_frame, FrameError, HEADER_LEN,
-    MAX_FRAME_BYTES,
 };
 use crate::source::{IqEvent, IqFrame, IqSource};
+
+/// [`UdpIqSource`]'s receive buffer: UDP's 16-bit length field keeps
+/// every datagram's payload under 64 KiB, so no IQF1 frame that fits a
+/// datagram (at most 8 185 samples over IPv4) is cut short.
+const DATAGRAM_BYTES: usize = 64 * 1024;
 
 /// Capped exponential backoff between reconnect attempts.
 #[derive(Debug, Clone)]
@@ -134,7 +138,7 @@ impl UdpIqSource {
             sock: Some(sock),
             local,
             cfg,
-            buf: vec![0u8; MAX_FRAME_BYTES],
+            buf: vec![0u8; DATAGRAM_BYTES],
             last_rx: Instant::now(),
             healthy_since: None,
         })
@@ -429,4 +433,82 @@ pub fn write_tcp_frame(
     samples: &[Cf32],
 ) -> std::io::Result<()> {
     stream.write_all(&encode_frame(seq, first_sample, samples))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::samples_from_bits;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One wire frame whose samples come from raw bit patterns.
+    fn frame(seq: u64, bits: &[u32]) -> Vec<u8> {
+        encode_frame(seq, seq.rotate_left(32), &samples_from_bits(bits))
+    }
+
+    /// Feed `stream` to a TCP source's reassembler in pieces cut at
+    /// `cuts`, parsing after each piece as the source does, until the
+    /// stream ends or a header is corrupt (where the source would
+    /// re-dial). Every frame parsed must re-encode to the bytes it was
+    /// parsed from; returns how many frames parsed.
+    fn reassemble(stream: &[u8], mut cuts: Vec<usize>) -> usize {
+        // Never dialled: `connect` only records the peer.
+        let mut source = TcpIqSource::connect(([127, 0, 0, 1], 9).into(), NetConfig::default());
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let (mut fed, mut consumed, mut frames) = (0, 0, 0);
+        for cut in cuts {
+            let cut = cut.clamp(fed, stream.len());
+            source.pending.extend_from_slice(&stream[fed..cut]);
+            fed = cut;
+            while let Some(parsed) = source.try_parse() {
+                let Ok((seq, first_sample, samples)) = parsed else {
+                    return frames;
+                };
+                let wire = encode_frame(seq, first_sample, &samples);
+                assert_eq!(wire, stream[consumed..consumed + wire.len()]);
+                consumed += wire.len();
+                frames += 1;
+            }
+        }
+        frames
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn reassembler_parses_valid_frames_in_any_split(
+            payloads in vec(vec(any::<u32>(), 0..48), 0..6),
+            seq in any::<u64>(),
+            cuts in vec(0usize..1600, 0..8),
+        ) {
+            let stream: Vec<u8> = (0..)
+                .zip(&payloads)
+                .flat_map(|(i, bits)| frame(seq.wrapping_add(i), bits))
+                .collect();
+            prop_assert_eq!(reassemble(&stream, cuts), payloads.len());
+        }
+
+        #[test]
+        fn reassembler_never_panics_on_corrupt_streams(
+            payloads in vec(vec(any::<u32>(), 0..48), 0..6),
+            flips in vec(any::<u32>(), 0..4),
+            noise in vec(any::<u8>(), 0..96),
+            cuts in vec(0usize..1700, 0..8),
+        ) {
+            // Valid frames with a few bytes flipped (header or payload),
+            // then arbitrary bytes.
+            let mut stream: Vec<u8> = payloads.iter().flat_map(|bits| frame(7, bits)).collect();
+            let len = stream.len();
+            for flip in flips {
+                if len > 0 {
+                    stream[(flip >> 8) as usize % len] ^= flip as u8;
+                }
+            }
+            stream.extend(noise);
+            reassemble(&stream, cuts);
+        }
+    }
 }

@@ -30,8 +30,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"IQF1");
 /// Bytes before the payload.
 pub const HEADER_LEN: usize = 24;
 /// Upper bound on `n_samples`; larger frames are corrupt by definition.
+/// It bounds frames on a byte stream (TCP); a UDP datagram's 16-bit
+/// length field stops a frame at 8 185 samples over IPv4 first.
 pub const MAX_FRAME_SAMPLES: u32 = 1 << 16;
-/// Largest possible wire frame, the receive-buffer size.
+/// Largest possible wire frame.
 pub const MAX_FRAME_BYTES: usize = HEADER_LEN + MAX_FRAME_SAMPLES as usize * 8;
 
 /// A decoded frame header.
@@ -160,9 +162,19 @@ pub fn decode_payload(bytes: &[u8]) -> Vec<Cf32> {
         .collect()
 }
 
+/// Samples from raw bit patterns, NaNs and infinities included.
+#[cfg(test)]
+pub(crate) fn samples_from_bits(bits: &[u32]) -> Vec<Cf32> {
+    bits.chunks_exact(2)
+        .map(|p| Cf32::new(f32::from_bits(p[0]), f32::from_bits(p[1])))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn ramp(n: usize) -> Vec<Cf32> {
         (0..n).map(|i| Cf32::new(i as f32, -(i as f32))).collect()
@@ -227,5 +239,48 @@ mod tests {
         let mut wire = encode_frame(0, 0, &[]);
         wire[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_frame(&wire), Err(FrameError::Oversized(u32::MAX)));
+    }
+
+    /// Decode `wire`; a frame that decodes must re-encode to the bytes it
+    /// was decoded from.
+    fn decodes_faithfully(wire: &[u8]) {
+        if let Ok((h, samples)) = decode_frame(wire) {
+            let len = HEADER_LEN + 8 * h.n_samples as usize;
+            assert_eq!(encode_frame(h.seq, h.first_sample, &samples), wire[..len]);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in vec(any::<u8>(), 0..160),
+            magic in any::<bool>(),
+        ) {
+            // Half the cases behind a valid magic, to reach the length
+            // and payload checks.
+            let mut wire = if magic { MAGIC.to_le_bytes().to_vec() } else { Vec::new() };
+            wire.extend(bytes);
+            decodes_faithfully(&wire);
+        }
+
+        #[test]
+        fn corrupted_lengths_never_panic_the_decoder(
+            seq in any::<u64>(),
+            first_sample in any::<u64>(),
+            bits in vec(any::<u32>(), 0..96),
+            n_samples in prop_oneof![
+                any::<u32>(),
+                0u32..64,
+                Just(MAX_FRAME_SAMPLES),
+                Just(MAX_FRAME_SAMPLES + 1),
+            ],
+            cut in 0usize..512,
+        ) {
+            // A valid frame whose length field lies, then cut short.
+            let mut wire = encode_frame(seq, first_sample, &samples_from_bits(&bits));
+            wire[20..24].copy_from_slice(&n_samples.to_le_bytes());
+            wire.truncate(cut);
+            decodes_faithfully(&wire);
+        }
     }
 }

@@ -191,6 +191,36 @@ fn oversized_gap_is_zero_filled_only_up_to_the_cap() {
 }
 
 #[test]
+fn an_unconfirmed_position_leap_is_rejected() {
+    // One frame claims a position 2^40 samples ahead. Nothing confirms a
+    // sender clock jump — the next frame does not start where the leap
+    // ends, or the stream ends first — so the leap is rejected without
+    // zero-filling or moving the head, and in-order frames after it
+    // continue the stream.
+    let followed = vec![
+        frame(0, 0, 100),
+        frame(1, 1 << 40, 100),
+        frame(2, 100, 100),
+        frame(3, 200, 100),
+        IqEvent::End,
+    ];
+    let last = vec![frame(0, 0, 100), frame(1, 1 << 40, 100), IqEvent::End];
+    for (script, frames, samples) in [(followed, 4, 300), (last, 2, 100)] {
+        let sub = IngestDriver::spawn(
+            gateway(),
+            ScriptedSource::new(script),
+            IngestConfig::default(),
+        );
+        let (_, snap) = sub.join();
+
+        assert_eq!(snap.frames_in, frames);
+        assert_eq!(snap.frames_rejected, 1, "the leap");
+        assert_eq!(snap.samples_gapped, 0, "an unconfirmed leap fills nothing");
+        assert_eq!(snap.samples_in, samples);
+    }
+}
+
+#[test]
 fn stale_stream_restart_is_rejected_not_replayed() {
     let script = vec![
         frame(0, 0, 1000),
