@@ -31,9 +31,11 @@
 //!   (branch `r = (D − n mod D) mod D` at branch position
 //!   `u = (n + r) / D`), after which each output is D short contiguous
 //!   planar dot products ([`kernel::fir_dot`]) at the *decimated* rate,
-//!   summed in fixed branch order. Branch histories are planar re/im
-//!   `f32` planes; the NCO is a complex-rotator recurrence in f64 (one
-//!   `sin`/`cos` pair every `RENORM_INTERVAL` = 512 samples).
+//!   summed in fixed branch order. The D sub-filters are built once and
+//!   shared by every channel; each channel owns only its NCO and its D
+//!   branch histories, planar re/im `f32` planes that stay unallocated
+//!   until the first push. The NCO is a complex-rotator recurrence in
+//!   f64 (one `sin`/`cos` pair every `RENORM_INTERVAL` = 512 samples).
 //! * [`scalar::Channelizer`] — the original per-sample `sin`/`cos` +
 //!   interleaved-complex implementation, the test and bench oracle: it
 //!   computes the same sums in a different floating-point association,
@@ -42,6 +44,8 @@
 
 pub mod kernel;
 pub mod scalar;
+
+use std::sync::Arc;
 
 use crate::{Cf32, Cf64};
 
@@ -282,12 +286,16 @@ impl Nco {
 /// `b_r[u] = m[uD − r]`.
 struct Branch {
     /// Sub-filter taps pre-reversed (`taps_rev[i] = h[(L−1−i)·D + r]`),
-    /// so the branch convolution is a forward contiguous dot. Empty when
-    /// `r >= num_taps` (possible only for `decimation > num_taps`); such
-    /// a branch receives no deposits and contributes nothing.
-    taps_rev: Vec<f32>,
+    /// so the branch convolution is a forward contiguous dot. Every
+    /// channel's branch `r` shares one copy; the handle keeps the taps and
+    /// their count branch-local, so neither the commutator nor the dot
+    /// loop indexes a table of sub-filters. Empty when `r >= num_taps`
+    /// (possible only for `decimation > num_taps`); such a branch
+    /// receives no deposits and contributes nothing.
+    taps_rev: Arc<[f32]>,
     /// Real plane of the branch history: `re[i]` holds
-    /// `Re(b_r[base + i])`.
+    /// `Re(b_r[base + i])`. Empty until the first
+    /// [`Channelizer::process`] or [`Channelizer::flush`] seeds it.
     re: Vec<f32>,
     /// Imaginary plane, same indexing as `re`.
     im: Vec<f32>,
@@ -316,8 +324,12 @@ pub struct Channelizer {
 }
 
 impl Channelizer {
-    /// Build a channelizer (designs the FIR prototype once and splits it
-    /// into the D polyphase sub-filters, shared layout for all channels).
+    /// Build a channelizer: designs the FIR prototype once and splits it
+    /// into the D polyphase sub-filters that every channel shares. Each
+    /// channel gets only its NCO and D empty branch histories, so
+    /// construction allocates nothing per branch; the first
+    /// [`Channelizer::process`] or [`Channelizer::flush`] sizes and seeds
+    /// the histories.
     ///
     /// # Panics
     /// A plan that fails [`ChannelizerConfig::validate`] panics here, or
@@ -326,37 +338,25 @@ impl Channelizer {
         let taps = lowpass_taps(config.num_taps, config.cutoff_hz / config.wideband_rate_hz);
         let d = config.decimation;
         let t = config.num_taps;
+        // Branch r takes prototype taps r, r+D, r+2D, …
+        let sub_filters: Vec<Arc<[f32]>> = (0..d)
+            .map(|r| {
+                let len = if r < t { (t - r).div_ceil(d) } else { 0 };
+                (0..len).map(|i| taps[(len - 1 - i) * d + r]).collect()
+            })
+            .collect();
         let channels = config
             .offsets_hz
             .iter()
             .map(|&off| ChannelState {
                 nco: Nco::new(-off / config.wideband_rate_hz),
-                branches: (0..d)
-                    .map(|r| {
-                        // Branch r takes prototype taps r, r+D, r+2D, …
-                        let len = if r < t { (t - r).div_ceil(d) } else { 0 };
-                        let taps_rev: Vec<f32> =
-                            (0..len).map(|i| taps[(len - 1 - i) * d + r]).collect();
-                        // Seed zeros so the branch window for output 0 is
-                        // fully in range: branch 0's first deposit lands
-                        // at branch position 0 (wideband sample 0),
-                        // branches r > 0 first deposit at position 1
-                        // (wideband sample D − r), so they seed one more
-                        // zero covering position 0 (= m[−r], before the
-                        // stream).
-                        let seed = if len == 0 {
-                            0
-                        } else if r == 0 {
-                            len - 1
-                        } else {
-                            len
-                        };
-                        Branch {
-                            re: vec![0.0; seed],
-                            im: vec![0.0; seed],
-                            base: 1 - len as i64,
-                            taps_rev,
-                        }
+                branches: sub_filters
+                    .iter()
+                    .map(|taps_rev| Branch {
+                        taps_rev: Arc::clone(taps_rev),
+                        re: Vec::new(),
+                        im: Vec::new(),
+                        base: 1 - taps_rev.len() as i64,
                     })
                     .collect(),
                 next_out_s: 0,
@@ -405,10 +405,29 @@ impl Channelizer {
         for ch in &mut self.channels {
             // One commutator pass: mix each wideband sample (one rotator
             // multiply, no trig) and deposit it into its branch planes.
-            for b in &mut ch.branches {
-                if !b.taps_rev.is_empty() {
-                    b.re.reserve(chunk.len() / d + 2);
-                    b.im.reserve(chunk.len() / d + 2);
+            for (r, b) in ch.branches.iter_mut().enumerate() {
+                let len = b.taps_rev.len();
+                if len == 0 {
+                    continue;
+                }
+                // Before the stream's first sample, seed zeros so the
+                // branch window for output 0 is fully in range: branch
+                // 0's first deposit lands at branch position 0 (wideband
+                // sample 0), branches r > 0 first deposit at position 1
+                // (wideband sample D − r), so they seed one more zero
+                // covering position 0 (= m[−r], before the stream). Until
+                // a sample arrives the history is empty or exactly the
+                // seed, so seeding again is a no-op.
+                let seed = if self.pos == 0 {
+                    len - usize::from(r == 0)
+                } else {
+                    0
+                };
+                b.re.reserve(seed + chunk.len() / d + 2);
+                b.im.reserve(seed + chunk.len() / d + 2);
+                if seed > 0 {
+                    b.re.resize(seed, 0.0);
+                    b.im.resize(seed, 0.0);
                 }
             }
             let mut r = r0;
@@ -532,15 +551,22 @@ mod tests {
     fn polyphase_branches_partition_the_prototype() {
         // Every prototype tap appears in exactly one branch sub-filter,
         // so the branch lengths sum to num_taps and the DC gains add to
-        // the prototype's unity DC gain.
+        // the prototype's unity DC gain. The sub-filters are shared
+        // across channels, not copied into each.
         let cfg = paper_plan();
         let ch = Channelizer::new(cfg.clone());
         let branches = &ch.channels[0].branches;
         assert_eq!(branches.len(), cfg.decimation);
         let total: usize = branches.iter().map(|b| b.taps_rev.len()).sum();
         assert_eq!(total, cfg.num_taps);
-        let dc: f32 = branches.iter().flat_map(|b| &b.taps_rev).sum();
+        let dc: f32 = branches.iter().flat_map(|b| &b.taps_rev[..]).sum();
         assert!((dc - 1.0).abs() < 1e-6);
+        // One copy of each sub-filter serves every channel.
+        for other in &ch.channels[1..] {
+            for (a, b) in other.branches.iter().zip(branches) {
+                assert!(Arc::ptr_eq(&a.taps_rev, &b.taps_rev));
+            }
+        }
     }
 
     #[test]

@@ -100,10 +100,11 @@ where
     acc
 }
 
-const RAGGED: [&[usize]; 3] = [
+const RAGGED: [&[usize]; 4] = [
     &[usize::MAX], // one shot
     &[1, 3, 0, 17, 64, 5, 1000, 2, 9000],
     &[511, 513, 4096, 7, 997], // straddle the NCO renormalisation interval
+    &[0, 1, 0, 8191],          // the first call, which seeds the histories, is empty
 ];
 
 #[test]
@@ -225,37 +226,48 @@ fn vectorised_is_chunking_invariant_bit_exact() {
 
 #[test]
 fn flush_equivalence_and_idempotence_both_paths() {
+    // The empty capture is flush only: the flush is the first call, and
+    // it seeds the branch histories itself.
     for (name, cfg) in plans() {
-        let x = test_signal(&cfg, 9_973, 5);
-        let mut v = Channelizer::new(cfg.clone());
-        let mut s = scalar::Channelizer::new(cfg.clone());
-        let head_v = v.process(&x);
-        let head_s = s.process(&x);
-        let tail_v = v.flush();
-        let tail_s = s.flush();
-        for ch in 0..cfg.n_channels() {
-            assert_eq!(
-                head_v[ch].len() + tail_v[ch].len(),
-                head_s[ch].len() + tail_s[ch].len(),
-                "plan {name}: flushed stream lengths diverge"
-            );
-            let rms = rms_diff(&tail_v[ch], &tail_s[ch]);
-            assert!(
-                rms <= 1e-5,
-                "plan {name}, channel {ch}: flush tail RMS {rms:.3e}"
-            );
-            // The tail must cover the group delay: content up to the last
-            // input sample reaches the output.
-            let produced = head_v[ch].len() + tail_v[ch].len();
-            let delay = v.group_delay_wideband();
-            let expect = (x.len() + delay - 1) / cfg.decimation + 1;
-            assert_eq!(
-                produced, expect,
-                "plan {name}: tail does not cover the delay"
-            );
+        for x in [test_signal(&cfg, 9_973, 5), Vec::new()] {
+            flush_matches_scalar(name, &cfg, &x);
         }
-        // Second flush emits nothing, on both implementations.
-        assert!(v.flush().iter().all(|o| o.is_empty()));
-        assert!(s.flush().iter().all(|o| o.is_empty()));
     }
+}
+
+fn flush_matches_scalar(name: &str, cfg: &ChannelizerConfig, x: &[Cf32]) {
+    let mut v = Channelizer::new(cfg.clone());
+    let mut s = scalar::Channelizer::new(cfg.clone());
+    let (head_v, head_s) = if x.is_empty() {
+        let none = vec![Vec::new(); cfg.n_channels()];
+        (none.clone(), none)
+    } else {
+        (v.process(x), s.process(x))
+    };
+    let tail_v = v.flush();
+    let tail_s = s.flush();
+    for ch in 0..cfg.n_channels() {
+        assert_eq!(
+            head_v[ch].len() + tail_v[ch].len(),
+            head_s[ch].len() + tail_s[ch].len(),
+            "plan {name}: flushed stream lengths diverge"
+        );
+        let rms = rms_diff(&tail_v[ch], &tail_s[ch]);
+        assert!(
+            rms <= 1e-5,
+            "plan {name}, channel {ch}: flush tail RMS {rms:.3e}"
+        );
+        // The tail must cover the group delay: content up to the last
+        // input sample reaches the output.
+        let produced = head_v[ch].len() + tail_v[ch].len();
+        let delay = v.group_delay_wideband();
+        let expect = (x.len() + delay - 1) / cfg.decimation + 1;
+        assert_eq!(
+            produced, expect,
+            "plan {name}: tail does not cover the delay"
+        );
+    }
+    // Second flush emits nothing, on both implementations.
+    assert!(v.flush().iter().all(|o| o.is_empty()));
+    assert!(s.flush().iter().all(|o| o.is_empty()));
 }

@@ -894,15 +894,16 @@ impl Gateway {
     }
 
     /// Attach the gateway's single non-blocking packet subscription:
-    /// released packets are forwarded into a bounded channel the moment
-    /// the sink releases them, so consumers block on `recv` instead of
-    /// spinning on [`Gateway::poll_packets`]. Delivery preserves the
-    /// sink's release order (non-decreasing `start_wideband`, modulo
-    /// late SIC-recovered packets). If the consumer falls more than
-    /// `capacity` packets behind, the surplus waits in the sink backlog
-    /// and is flushed — still in order — on subsequent releases or by
-    /// [`Gateway::finish`]. Panics if a subscription is already
-    /// attached.
+    /// released packets are forwarded into an unbounded channel the
+    /// moment the sink releases them, so consumers block on `recv`
+    /// instead of spinning on [`Gateway::poll_packets`]. Delivery
+    /// preserves the sink's release order (non-decreasing
+    /// `start_wideband`, modulo late SIC-recovered packets). A consumer
+    /// that falls behind costs memory in the channel, never a lost
+    /// packet or a blocked worker; while the subscription is attached,
+    /// [`Gateway::poll_packets`] and [`Gateway::finish`] return nothing.
+    /// `capacity` is unused: the channel allocates only as packets
+    /// arrive. Panics if a subscription is already attached.
     pub fn subscribe(&self, capacity: usize) -> Receiver<GatewayPacket> {
         self.runtime.sink.subscribe(capacity)
     }
@@ -942,6 +943,8 @@ pub(crate) fn available_cores() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn config() -> GatewayConfig {
         GatewayConfig {
@@ -1588,5 +1591,73 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroQueueCapacity));
 
         assert!(config().validate().is_ok());
+    }
+
+    /// An axis value with the hostile ones mixed in: 0, negative, NaN and
+    /// ±∞, and twice the weight on `usual` so that a fair share of plans
+    /// gets past validation.
+    fn hostile(usual: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+        prop_oneof![
+            usual.clone(),
+            usual,
+            prop_oneof![
+                Just(0.0),
+                Just(-1e6),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+            ],
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary channelizer plans through `Gateway::new`: tap counts
+        /// and decimations including 0, up to 8 offsets and a rate and
+        /// cutoff that may be 0, negative, NaN or infinite. Each comes back
+        /// as a typed `ConfigError` or as a gateway that takes pushes of
+        /// any length, including 0, of NaN, infinite and saturated
+        /// samples, and finishes, never as a panic.
+        #[test]
+        fn arbitrary_channelizer_plans_are_typed_errors_or_run_to_the_end(
+            num_taps in prop_oneof![0usize..=4096, 1usize..=257],
+            decimation in prop_oneof![0usize..=64, 1usize..=8],
+            offsets_hz in collection::vec(hostile(-2e6..2e6), 0..9),
+            wideband_rate_hz in hostile(1e5..4e6),
+            // The cutoff as a fraction of the rate, so that it often lands
+            // below Nyquist.
+            cutoff in hostile(0.0..0.6),
+            pushes in collection::vec(prop_oneof![Just(0usize), 1usize..64, 64usize..16384], 1..5),
+            values in collection::vec(
+                prop_oneof![
+                    Just(f32::NAN),
+                    Just(f32::INFINITY),
+                    Just(f32::NEG_INFINITY),
+                    Just(f32::MAX),
+                    -1.0f32..1.0,
+                ],
+                1..6,
+            ),
+        ) {
+            let mut cfg = config();
+            cfg.channelizer = ChannelizerConfig {
+                wideband_rate_hz,
+                decimation,
+                offsets_hz,
+                num_taps,
+                cutoff_hz: cutoff * wideband_rate_hz,
+            };
+            if let Ok(mut gw) = Gateway::new(cfg) {
+                let sample = |i: usize| {
+                    Cf32::new(values[i % values.len()], values[(i + 1) % values.len()])
+                };
+                for &n in &pushes {
+                    gw.push(&(0..n).map(sample).collect::<Vec<_>>());
+                }
+                let (_, snap) = gw.finish();
+                prop_assert_eq!(snap.samples_in, pushes.iter().sum::<usize>() as u64);
+            }
+        }
     }
 }

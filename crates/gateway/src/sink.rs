@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use cic::DecodedPacket;
@@ -50,12 +50,11 @@ struct SinkInner {
     pending: Vec<(usize, GatewayPacket)>,
     /// Recently accepted packets, kept for duplicate suppression.
     recent: DedupWindow,
-    /// Released, time-ordered, awaiting collection (the poll path, and
-    /// the overflow backlog while a subscriber's channel is full).
+    /// Released, time-ordered, awaiting collection by the poll path.
     released: VecDeque<GatewayPacket>,
     /// Live subscription, if any: released packets are forwarded here in
     /// release order instead of waiting to be polled.
-    subscriber: Option<SyncSender<GatewayPacket>>,
+    subscriber: Option<Sender<GatewayPacket>>,
     /// Each shard's telemetry, by shard index.
     stats: Vec<Arc<GatewayStats>>,
     /// Packets released into the stream.
@@ -161,25 +160,25 @@ impl PacketSink {
     }
 
     /// Take every packet released since the last call (time-ordered).
-    /// With a live subscription this returns only the overflow backlog —
-    /// packets that did not fit in the subscriber's bounded channel.
+    /// With a live subscription this is empty: every release goes to the
+    /// subscriber's channel.
     pub(crate) fn take_released(&self) -> Vec<GatewayPacket> {
         std::mem::take(&mut self.inner.lock().unwrap().released)
             .into_iter()
             .collect()
     }
 
-    /// Attach the single bounded subscription: released packets are
-    /// forwarded into the returned channel in release order, starting
+    /// Attach the single subscription: released packets are forwarded
+    /// into the returned unbounded channel in release order, starting
     /// with anything already waiting in the poll buffer. The sink never
-    /// blocks on a slow consumer — packets that do not fit stay in the
-    /// poll buffer and are flushed (in order, ahead of newer releases)
-    /// on later drains or collected by [`PacketSink::take_released`].
+    /// blocks on a slow consumer; what it has not read waits in the
+    /// channel, which allocates only as packets arrive. `_capacity` is
+    /// unused; it mirrors [`Gateway::subscribe`](crate::Gateway::subscribe).
     ///
     /// # Panics
     /// If a subscription is already attached.
-    pub(crate) fn subscribe(&self, capacity: usize) -> Receiver<GatewayPacket> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+    pub(crate) fn subscribe(&self, _capacity: usize) -> Receiver<GatewayPacket> {
+        let (tx, rx) = std::sync::mpsc::channel();
         let mut inner = self.inner.lock().unwrap();
         assert!(
             inner.subscriber.is_none(),
@@ -190,30 +189,18 @@ impl PacketSink {
         rx
     }
 
-    /// Push the release backlog into the subscriber's channel, in order,
-    /// until the backlog empties or the channel fills. A disconnected
-    /// receiver detaches the subscription and reverts to the poll path.
+    /// Move the poll buffer into the subscriber's channel, in order. A
+    /// disconnected receiver detaches the subscription and reverts to the
+    /// poll path, with the packet it refused back at the buffer's head.
     fn forward(&self, inner: &mut SinkInner) {
-        while inner.subscriber.is_some() {
-            let Some(p) = inner.released.pop_front() else {
+        let Some(tx) = &inner.subscriber else {
+            return;
+        };
+        while let Some(p) = inner.released.pop_front() {
+            if let Err(refused) = tx.send(p) {
+                inner.released.push_front(refused.0);
+                inner.subscriber = None;
                 return;
-            };
-            match inner
-                .subscriber
-                .as_ref()
-                .expect("checked above")
-                .try_send(p)
-            {
-                Ok(()) => {}
-                Err(TrySendError::Full(p)) => {
-                    inner.released.push_front(p);
-                    return;
-                }
-                Err(TrySendError::Disconnected(p)) => {
-                    inner.released.push_front(p);
-                    inner.subscriber = None;
-                    return;
-                }
             }
         }
     }
@@ -483,31 +470,34 @@ mod tests {
     }
 
     #[test]
-    fn full_subscriber_channel_overflows_to_backlog_in_order() {
-        let sink = one_shard(1, 9, 0, stats());
-        let rx = sink.subscribe(2);
-        sink.set_watermark(0, 1_000_000);
-        sink.report(
-            0,
-            vec![
-                pkt(0, 7, 10_000, b"a"),
-                pkt(0, 7, 20_000, b"b"),
-                pkt(0, 7, 30_000, b"c"),
-                pkt(0, 7, 40_000, b"d"),
-            ],
-        );
-        // Two fit the channel, two wait in the backlog.
-        assert_eq!(rx.try_recv().unwrap().start_wideband, 10_000);
-        assert_eq!(rx.try_recv().unwrap().start_wideband, 20_000);
-        assert!(rx.try_recv().is_err());
-        // The next drain flushes the backlog *before* newer releases, so
-        // the subscriber's stream order survives the overflow.
-        sink.report(0, vec![pkt(0, 7, 50_000, b"e")]);
-        let starts: Vec<u64> = rx.try_iter().map(|p| p.start_wideband).collect();
-        assert_eq!(starts, vec![30_000, 40_000]);
-        sink.report(0, vec![pkt(0, 7, 60_000, b"f")]);
-        let starts: Vec<u64> = rx.try_iter().map(|p| p.start_wideband).collect();
-        assert_eq!(starts, vec![50_000, 60_000]);
+    fn unread_subscriber_receives_every_release_in_order() {
+        // The capacity argument bounds nothing: a subscriber that has not
+        // read yet finds every release waiting in its channel, in release
+        // order, and nothing is left behind for the poll path while it is
+        // attached.
+        for capacity in [0, 2] {
+            let sink = one_shard(1, 9, 0, stats());
+            let rx = sink.subscribe(capacity);
+            sink.set_watermark(0, 1_000_000);
+            sink.report(
+                0,
+                vec![
+                    pkt(0, 7, 40_000, b"d"),
+                    pkt(0, 7, 10_000, b"a"),
+                    pkt(0, 7, 30_000, b"c"),
+                    pkt(0, 7, 20_000, b"b"),
+                ],
+            );
+            assert!(sink.take_released().is_empty(), "capacity {capacity}");
+            sink.report(0, vec![pkt(0, 7, 50_000, b"e")]);
+            assert!(sink.take_released().is_empty(), "capacity {capacity}");
+            let starts: Vec<u64> = rx.try_iter().map(|p| p.start_wideband).collect();
+            assert_eq!(
+                starts,
+                vec![10_000, 20_000, 30_000, 40_000, 50_000],
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

@@ -50,12 +50,11 @@ use lora_gateway::{Gateway, GatewayPacket, GatewaySnapshot, GatewayStats};
 
 use crate::source::{IqEvent, IqFrame, IqSource};
 
-/// Driver tuning.
+/// Driver tuning. The packet subscription needs none: it is an
+/// unbounded channel, so a consumer that falls behind costs memory,
+/// never a packet.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Bound of the packet subscription channel; packets beyond it wait
-    /// in the sink backlog (never lost, possibly late).
-    pub subscription_capacity: usize,
     /// Largest gap (in samples) repaired by zero-fill; bigger gaps slip
     /// the time base instead of stalling ingest on gigabytes of zeros,
     /// once the next frame confirms them.
@@ -65,7 +64,6 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         Self {
-            subscription_capacity: 1024,
             max_zero_fill: 1 << 22,
         }
     }
@@ -78,8 +76,10 @@ const STOP: u8 = 1;
 /// End at the next source event and drop the gateway undrained.
 const ABANDON: u8 = 2;
 
-/// What the driver thread hands back: the final drain, unless abandoned.
-type Drained = Option<(Vec<GatewayPacket>, GatewaySnapshot)>;
+/// What the driver thread hands back: the final snapshot, unless
+/// abandoned. Every packet goes to the subscription channel, attached for
+/// the gateway's whole life, so `Gateway::finish` hands back none.
+type Drained = Option<GatewaySnapshot>;
 
 /// Handle to a running ingest driver: a non-blocking view of the decoded
 /// packet stream, live telemetry, and the final drain.
@@ -120,19 +120,17 @@ impl PacketSubscription {
 
     /// Wait for the driver to finish (end of stream or [`stop`]): drains
     /// the channelizer tail through `Gateway::finish` and returns every
-    /// not-yet-consumed packet — subscription channel first, then the
-    /// final drain, preserving release order — plus the final snapshot.
+    /// packet not yet consumed from the subscription, in release order,
+    /// plus the final snapshot.
     ///
     /// [`stop`]: PacketSubscription::stop
     pub fn join(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
-        let (tail, snapshot) = self
+        let snapshot = self
             .handle
             .take()
             .and_then(|h| h.join().expect("ingest driver panicked"))
             .expect("only a dropped subscription abandons its driver");
-        let mut packets: Vec<GatewayPacket> = self.rx.try_iter().collect();
-        packets.extend(tail);
-        (packets, snapshot)
+        (self.rx.try_iter().collect(), snapshot)
     }
 }
 
@@ -156,7 +154,7 @@ impl IngestDriver {
         source: S,
         cfg: IngestConfig,
     ) -> PacketSubscription {
-        let rx = gateway.subscribe(cfg.subscription_capacity);
+        let rx = gateway.subscribe(0);
         let stats = gateway.stats();
         let state = Arc::new(AtomicU8::new(RUN));
         let thread_stats = stats.clone();
@@ -293,5 +291,5 @@ fn drive(
         stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
     }
     // Abandoned: dropping the gateway stops its threads without a drain.
-    (state.load(Ordering::Acquire) != ABANDON).then(|| gw.finish())
+    (state.load(Ordering::Acquire) != ABANDON).then(|| gw.finish().1)
 }

@@ -177,7 +177,6 @@ fn oversized_gap_is_zero_filled_only_up_to_the_cap() {
     ];
     let cfg = IngestConfig {
         max_zero_fill: 2048,
-        ..IngestConfig::default()
     };
     let sub = IngestDriver::spawn(gateway(), ScriptedSource::new(script), cfg);
     let (_, snap) = sub.join();
