@@ -44,7 +44,7 @@ pub trait CollisionReceiver {
 
 /// Refined frame estimate shared by the baseline receivers.
 #[derive(Debug, Clone, Copy)]
-pub struct FrameEstimate {
+pub(crate) struct FrameEstimate {
     /// Sample index of the frame start.
     pub frame_start: usize,
     /// CFO estimate in bins.
@@ -57,7 +57,7 @@ pub struct FrameEstimate {
 ///
 /// Returns `None` when the refined preamble fails a basic consistency
 /// check (majority of preamble windows agreeing on one bin).
-pub fn refine_frame(
+pub(crate) fn refine_frame(
     demod: &Demodulator,
     layout: &FrameLayout,
     capture: &[Cf32],
@@ -189,7 +189,7 @@ pub fn refine_frame(
 }
 
 /// Circular mean of positions on a ring of circumference `n`.
-pub fn circular_mean(xs: &[f64], n: f64) -> f64 {
+pub(crate) fn circular_mean(xs: &[f64], n: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -203,7 +203,7 @@ pub fn circular_mean(xs: &[f64], n: f64) -> f64 {
 }
 
 /// Map a position on `[0, n)` to a signed offset in `(-n/2, n/2]`.
-pub fn signed_bin(x: f64, n: f64) -> f64 {
+pub(crate) fn signed_bin(x: f64, n: f64) -> f64 {
     let w = lora_dsp::math::wrap(x, n);
     if w > n / 2.0 {
         w - n
@@ -213,7 +213,7 @@ pub fn signed_bin(x: f64, n: f64) -> f64 {
 }
 
 /// Derotate a window by `-cfo_bins` (in bins) in place.
-pub fn derotate(demod: &Demodulator, win: &mut [Cf32], cfo_bins: f64) {
+pub(crate) fn derotate(demod: &Demodulator, win: &mut [Cf32], cfo_bins: f64) {
     let p = demod.params();
     let cfo_hz = cfo_bins * p.bin_hz();
     let step = -std::f64::consts::TAU * cfo_hz / p.sample_rate_hz();

@@ -13,8 +13,6 @@
 //! * [`ftrack`] — FTrack \[Xia et al., SenSys'19\]: sliding-STFT
 //!   time–frequency tracks; a symbol belongs to the packet whose symbol
 //!   interval its track spans exactly;
-//! * [`strawman`] — Strawman-CIC (paper §5, Fig 9): spectral intersection
-//!   of only the first and last sub-symbols;
 //! * [`common`] — the [`common::CollisionReceiver`] trait the network
 //!   simulator drives, plus shared frame-alignment helpers.
 //!
@@ -28,7 +26,6 @@ pub mod common;
 pub mod ftrack;
 pub mod mlora;
 pub mod standard;
-pub mod strawman;
 
 pub use choir::ChoirReceiver;
 pub use colora::ColoraReceiver;
@@ -36,4 +33,3 @@ pub use common::{CollisionReceiver, RxPacket};
 pub use ftrack::FtrackReceiver;
 pub use mlora::MLoraReceiver;
 pub use standard::StandardReceiver;
-pub use strawman::StrawmanDemodulator;

@@ -21,12 +21,6 @@ pub fn amplitude_for_snr(snr_db: f64, os: usize) -> f64 {
     (lora_dsp::math::from_db(snr_db) / os as f64).sqrt()
 }
 
-/// In-band SNR in dB of a signal with amplitude `a` under the same
-/// convention (inverse of [`amplitude_for_snr`]).
-pub fn snr_db_for_amplitude(a: f64, os: usize) -> f64 {
-    lora_dsp::math::db(a * a * os as f64)
-}
-
 /// Add unit-variance complex white Gaussian noise to `buf` in place.
 pub fn add_unit_noise<R: Rng + ?Sized>(rng: &mut R, buf: &mut [Cf32]) {
     add_noise(rng, buf, 1.0);
@@ -34,7 +28,7 @@ pub fn add_unit_noise<R: Rng + ?Sized>(rng: &mut R, buf: &mut [Cf32]) {
 
 /// Add complex white Gaussian noise of total per-sample variance
 /// `variance` to `buf` in place.
-pub fn add_noise<R: Rng + ?Sized>(rng: &mut R, buf: &mut [Cf32], variance: f64) {
+pub(crate) fn add_noise<R: Rng + ?Sized>(rng: &mut R, buf: &mut [Cf32], variance: f64) {
     if variance <= 0.0 {
         return;
     }
@@ -72,7 +66,7 @@ mod tests {
         for os in [1usize, 4, 8] {
             for snr in [-10.0, 0.0, 15.0, 35.0] {
                 let a = amplitude_for_snr(snr, os);
-                assert!((snr_db_for_amplitude(a, os) - snr).abs() < 1e-9);
+                assert!((math::db(a * a * os as f64) - snr).abs() < 1e-9);
             }
         }
     }

@@ -54,7 +54,7 @@ impl DeploymentKind {
     }
 
     /// Propagation model for this environment.
-    pub fn path_loss(&self) -> PathLossModel {
+    pub(crate) fn path_loss(&self) -> PathLossModel {
         match self {
             DeploymentKind::D1IndoorLos => PathLossModel::indoor_los(),
             DeploymentKind::D2IndoorNlos => PathLossModel::indoor_nlos(),
@@ -64,7 +64,7 @@ impl DeploymentKind {
     }
 
     /// Node-to-gateway distance band (metres) the preset is calibrated for.
-    pub fn distance_band_m(&self) -> (f64, f64) {
+    pub(crate) fn distance_band_m(&self) -> (f64, f64) {
         match self {
             DeploymentKind::D1IndoorLos => (5.0, 16.0),
             DeploymentKind::D2IndoorNlos => (5.0, 12.0),
@@ -107,7 +107,7 @@ impl Deployment {
     }
 
     /// Instantiate with a custom node count.
-    pub fn with_nodes(kind: DeploymentKind, n_nodes: usize, seed: u64) -> Self {
+    pub(crate) fn with_nodes(kind: DeploymentKind, n_nodes: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let model = kind.path_loss();
         let (dmin, dmax) = kind.distance_band_m();
@@ -126,11 +126,6 @@ impl Deployment {
             })
             .collect();
         Self { kind, nodes }
-    }
-
-    /// Deployment kind.
-    pub fn kind(&self) -> DeploymentKind {
-        self.kind
     }
 
     /// The nodes.

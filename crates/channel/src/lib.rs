@@ -2,9 +2,9 @@
 //! Wireless channel substrate: what sits between the 20 COTS transmitters
 //! and the USRP front end in the paper's deployments.
 //!
-//! * [`rng`] — seeded Gaussian / exponential / uniform variates;
+//! * `rng` — seeded Gaussian / exponential / uniform variates;
 //! * [`awgn`] — noise injection and the in-band SNR ↔ amplitude convention;
-//! * [`pathloss`] — log-distance path loss with shadowing and fading;
+//! * `pathloss` — log-distance path loss with shadowing and fading;
 //! * [`deployment`] — the four deployments D1–D4 with Fig 27's SNR bands;
 //! * [`traffic`] — Poisson packet arrivals (exponential inter-arrival);
 //! * [`mix`] — sample-accurate superposition of colliding transmissions
@@ -22,20 +22,16 @@ pub mod awgn;
 pub mod deployment;
 pub mod mix;
 pub mod pace;
-pub mod pathloss;
-pub mod rng;
+mod pathloss;
+mod rng;
 pub mod stream;
 pub mod traffic;
 pub mod wideband;
 
-pub use awgn::{add_noise, add_unit_noise, amplitude_for_snr, snr_db_for_amplitude};
+pub use awgn::{add_unit_noise, amplitude_for_snr};
 pub use deployment::{Deployment, DeploymentKind, Node, PAPER_NODE_COUNT};
-pub use mix::{superpose, superpose_drifting_into, superpose_into, DriftingEmission, Emission};
+pub use mix::{superpose, Emission};
 pub use pace::{PacedReplay, Pacer};
-pub use pathloss::PathLossModel;
-pub use stream::{
-    derive_node_profile, noise_seed, FrameSchedule, NodeProfile, StreamConfig, StreamedEmission,
-    StreamedScenario,
-};
+pub use stream::{noise_seed, FrameSchedule, StreamConfig, StreamedScenario};
 pub use traffic::{poisson_schedule, Arrival};
-pub use wideband::{BandPlan, TrafficConfig, WidebandCapture, WidebandPacket, WidebandTruth};
+pub use wideband::{BandPlan, TrafficConfig, WidebandCapture, WidebandPacket};

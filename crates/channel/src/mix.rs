@@ -21,46 +21,6 @@ pub struct Emission {
     pub cfo_hz: f64,
 }
 
-/// An emission with oscillator drift: the CFO changes linearly over the
-/// transmission (crystal warm-up / temperature ramp), a real impairment
-/// on COTS nodes that stresses any receiver relying on a single
-/// preamble-time CFO estimate.
-#[derive(Debug, Clone)]
-pub struct DriftingEmission {
-    /// The base emission.
-    pub emission: Emission,
-    /// CFO drift rate in Hz per second.
-    pub drift_hz_per_s: f64,
-}
-
-/// Sum drifting emissions into an existing buffer (adds, does not clear).
-///
-/// The instantaneous frequency at transmitter time `t` is
-/// `cfo_hz + drift·t`, i.e. the accumulated phase gains a quadratic term
-/// `π·drift·t²`.
-pub fn superpose_drifting_into(
-    params: &LoraParams,
-    buf: &mut [Cf32],
-    emissions: &[DriftingEmission],
-) {
-    let fs = params.sample_rate_hz();
-    for de in emissions {
-        let e = &de.emission;
-        if e.start_sample >= buf.len() {
-            continue;
-        }
-        let n = e.waveform.len().min(buf.len() - e.start_sample);
-        let amp = e.amplitude as f32;
-        for (i, &w) in e.waveform[..n].iter().enumerate() {
-            let t = i as f64 / fs;
-            let phase = (std::f64::consts::TAU * (e.cfo_hz * t + 0.5 * de.drift_hz_per_s * t * t))
-                % std::f64::consts::TAU;
-            let rot = Cf32::from_polar(1.0, phase as f32);
-            buf[e.start_sample + i] += w * rot * amp;
-        }
-    }
-}
-
 /// Sum `emissions` into a zeroed capture of `len` samples.
 ///
 /// Waveform parts that fall beyond the capture end are cut off (a packet
@@ -73,7 +33,7 @@ pub fn superpose(params: &LoraParams, len: usize, emissions: &[Emission]) -> Vec
 }
 
 /// Sum `emissions` into an existing buffer (adds, does not clear).
-pub fn superpose_into(params: &LoraParams, buf: &mut [Cf32], emissions: &[Emission]) {
+pub(crate) fn superpose_into(params: &LoraParams, buf: &mut [Cf32], emissions: &[Emission]) {
     let step = std::f64::consts::TAU / params.sample_rate_hz();
     for e in emissions {
         if e.start_sample >= buf.len() {
@@ -97,61 +57,6 @@ mod tests {
     use super::*;
     use lora_dsp::math;
     use lora_phy::chirp::symbol_waveform;
-
-    #[test]
-    fn drifting_with_zero_drift_matches_plain() {
-        let p = LoraParams::new(8, 250e3, 4).unwrap();
-        let w = symbol_waveform(&p, 42);
-        let e = Emission {
-            waveform: w.clone(),
-            amplitude: 1.0,
-            start_sample: 10,
-            cfo_hz: 1234.0,
-        };
-        let plain = superpose(&p, w.len() + 100, std::slice::from_ref(&e));
-        let mut drift = vec![Cf32::new(0.0, 0.0); w.len() + 100];
-        superpose_drifting_into(
-            &p,
-            &mut drift,
-            &[DriftingEmission {
-                emission: e,
-                drift_hz_per_s: 0.0,
-            }],
-        );
-        for (a, b) in plain.iter().zip(&drift) {
-            assert!((a - b).norm() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn drift_moves_frequency_over_time() {
-        // With a large drift, a tone's apparent bin at the end of a long
-        // emission differs from the start.
-        let p = LoraParams::new(8, 250e3, 4).unwrap();
-        let d = lora_phy::Demodulator::new(p);
-        let sps = p.samples_per_symbol();
-        // Two identical symbols back to back under heavy drift.
-        let mut wave = symbol_waveform(&p, 100);
-        wave.extend(symbol_waveform(&p, 100));
-        let drift_hz_per_s = 2_000_000.0; // exaggerated for a visible shift
-        let mut buf = vec![Cf32::new(0.0, 0.0); wave.len()];
-        superpose_drifting_into(
-            &p,
-            &mut buf,
-            &[DriftingEmission {
-                emission: Emission {
-                    waveform: wave,
-                    amplitude: 1.0,
-                    start_sample: 0,
-                    cfo_hz: 0.0,
-                },
-                drift_hz_per_s,
-            }],
-        );
-        let first = d.demodulate_symbol(&buf[..sps]).unwrap();
-        let second = d.demodulate_symbol(&buf[sps..]).unwrap();
-        assert!(second > first, "drift must raise the apparent bin");
-    }
 
     fn params() -> LoraParams {
         LoraParams::new(8, 250e3, 4).unwrap()

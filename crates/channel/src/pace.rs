@@ -46,11 +46,6 @@ impl Pacer {
         }
     }
 
-    /// Whether pacing is active.
-    pub fn enabled(&self) -> bool {
-        self.secs_per_sample.is_some()
-    }
-
     /// Block until sample `position` is due (a chunk is due once its
     /// *last* sample has "arrived"). No-op when pacing is disabled.
     pub fn wait_until_due(&mut self, position: usize) {
@@ -98,22 +93,6 @@ impl PacedReplay {
         }
     }
 
-    /// Samples handed out so far (the stream position of the *next*
-    /// chunk's first sample).
-    pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// Total samples in the capture.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the capture holds no samples at all.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The next chunk, or `None` once the capture is exhausted. Blocks
     /// until the chunk's scheduled emission time when pacing is on.
     pub fn next_chunk(&mut self) -> Option<&[Cf32]> {
@@ -145,7 +124,7 @@ mod tests {
         }
         assert_eq!(seen.len(), 10);
         assert!(seen.iter().enumerate().all(|(i, s)| s.re == i as f32));
-        assert_eq!(r.position(), 10);
+        assert_eq!(r.position, 10);
         assert!(r.next_chunk().is_none(), "exhausted replay stays exhausted");
     }
 
@@ -168,7 +147,7 @@ mod tests {
     #[test]
     fn pacer_disabled_never_sleeps() {
         let mut p = Pacer::new(1.0, None);
-        assert!(!p.enabled());
+        assert!(p.secs_per_sample.is_none());
         let t0 = Instant::now();
         p.wait_until_due(usize::MAX);
         assert!(t0.elapsed() < Duration::from_millis(50));
@@ -178,7 +157,7 @@ mod tests {
     fn pacer_holds_stream_time() {
         // 4_000 samples at 1 MHz × speed 1 is 4 ms of stream time.
         let mut p = Pacer::new(1e6, Some(1.0));
-        assert!(p.enabled());
+        assert!(p.secs_per_sample.is_some());
         let t0 = Instant::now();
         for end in [1_000usize, 2_000, 4_000] {
             p.wait_until_due(end);
@@ -189,7 +168,7 @@ mod tests {
     #[test]
     fn empty_capture_is_immediately_done() {
         let mut r = PacedReplay::new(Vec::new(), 8, 1e6, Some(1.0));
-        assert!(r.is_empty());
+        assert!(r.samples.is_empty());
         assert!(r.next_chunk().is_none());
     }
 }

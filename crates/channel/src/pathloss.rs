@@ -18,7 +18,7 @@ use crate::rng::normal;
 
 /// A propagation environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathLossModel {
+pub(crate) struct PathLossModel {
     /// In-band SNR (dB) measured at the reference distance `d0`.
     pub snr_at_d0_db: f64,
     /// Reference distance in metres.
@@ -33,18 +33,18 @@ pub struct PathLossModel {
 
 impl PathLossModel {
     /// Mean SNR (before shadowing) at distance `d_m`.
-    pub fn mean_snr_db(&self, d_m: f64) -> f64 {
+    pub(crate) fn mean_snr_db(&self, d_m: f64) -> f64 {
         let d = d_m.max(self.d0_m);
         self.snr_at_d0_db - 10.0 * self.exponent * (d / self.d0_m).log10()
     }
 
     /// Draw a node's long-term SNR at `d_m` (mean + static shadowing).
-    pub fn node_snr_db<R: Rng + ?Sized>(&self, rng: &mut R, d_m: f64) -> f64 {
+    pub(crate) fn node_snr_db<R: Rng + ?Sized>(&self, rng: &mut R, d_m: f64) -> f64 {
         normal(rng, self.mean_snr_db(d_m), self.shadow_sigma_db)
     }
 
     /// Draw the per-packet SNR around a node's long-term SNR.
-    pub fn packet_snr_db<R: Rng + ?Sized>(&self, rng: &mut R, node_snr_db: f64) -> f64 {
+    pub(crate) fn packet_snr_db<R: Rng + ?Sized>(&self, rng: &mut R, node_snr_db: f64) -> f64 {
         if self.fading_sigma_db <= 0.0 {
             node_snr_db
         } else {
@@ -54,7 +54,7 @@ impl PathLossModel {
 
     /// Free-space-like line-of-sight lab (D1). Calibrated so nodes at
     /// 5-16 m land in the paper's 30-40 dB band (Fig 27).
-    pub fn indoor_los() -> Self {
+    pub(crate) fn indoor_los() -> Self {
         Self {
             snr_at_d0_db: 54.0,
             d0_m: 1.0,
@@ -65,7 +65,7 @@ impl PathLossModel {
     }
 
     /// Small NLoS floor (D2). Nodes at 5-12 m land in 30-40 dB.
-    pub fn indoor_nlos() -> Self {
+    pub(crate) fn indoor_nlos() -> Self {
         Self {
             snr_at_d0_db: 60.0,
             d0_m: 1.0,
@@ -76,7 +76,7 @@ impl PathLossModel {
     }
 
     /// Large NLoS floor (D3). Nodes at 7-40 m land in 5-30 dB.
-    pub fn large_indoor_nlos() -> Self {
+    pub(crate) fn large_indoor_nlos() -> Self {
         Self {
             snr_at_d0_db: 58.0,
             d0_m: 1.0,
@@ -89,7 +89,7 @@ impl PathLossModel {
     /// Urban outdoor wide-area (D4), with strong per-packet fluctuation
     /// from pedestrians and traffic (paper §7.1). Nodes at 300-800 m land
     /// in -5..10 dB, i.e. frequently below the noise floor.
-    pub fn urban_outdoor() -> Self {
+    pub(crate) fn urban_outdoor() -> Self {
         Self {
             snr_at_d0_db: 97.0,
             d0_m: 1.0,

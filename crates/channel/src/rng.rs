@@ -7,7 +7,7 @@
 use rand::{Rng, RngExt};
 
 /// Standard normal variate via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling the half-open interval away from zero.
     let u1: f64 = loop {
         let u: f64 = rng.random();
@@ -20,14 +20,14 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Normal variate with the given mean and standard deviation.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
 /// Exponential variate with rate `lambda` (mean `1/lambda`), by inverse
 /// CDF. This is the packet inter-arrival law of the paper's traffic model
 /// (§7.1: `pdf(ΔT) = µ e^{-µΔT}`).
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
+pub(crate) fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
     assert!(lambda > 0.0, "exponential rate must be positive");
     let u: f64 = loop {
         let u: f64 = rng.random();
@@ -39,7 +39,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
 }
 
 /// Uniform variate in `[lo, hi)`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
+pub(crate) fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
     assert!(hi >= lo);
     lo + (hi - lo) * rng.random::<f64>()
 }

@@ -33,7 +33,7 @@
 //!
 //! For small scenarios the stream is additionally **sample-exact** against
 //! the materialise-everything reference: mixing replicates
-//! [`crate::mix::superpose_into`]'s per-sample arithmetic (same rotation
+//! `crate::mix::superpose_into`'s per-sample arithmetic (same rotation
 //! expression, same frame ordering, same f32 accumulation order), and the
 //! slice generator is bit-exact against full-frame synthesis, so
 //! concatenating chunks equals `synthesize` + `add_unit_noise` bitwise.
@@ -93,7 +93,7 @@ pub struct StreamConfig {
 
 /// Static per-node attributes, derived on demand (never stored per node).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeProfile {
+pub(crate) struct NodeProfile {
     /// Distance to the gateway, metres.
     pub distance_m: f64,
     /// Long-term received in-band SNR, dB.
@@ -108,7 +108,7 @@ pub struct NodeProfile {
 /// sampling (uniform distance in the deployment band, shadowed SNR,
 /// crystal-ppm CFO) from a dedicated per-node RNG, so the distributions
 /// match the 20-node deployments without materialising a node table.
-pub fn derive_node_profile(kind: DeploymentKind, seed: u64, node: usize) -> NodeProfile {
+pub(crate) fn derive_node_profile(kind: DeploymentKind, seed: u64, node: usize) -> NodeProfile {
     let mix = seed
         ^ (node as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -229,7 +229,7 @@ impl FrameSchedule {
     }
 
     /// The scenario configuration.
-    pub fn config(&self) -> &StreamConfig {
+    pub(crate) fn config(&self) -> &StreamConfig {
         &self.cfg
     }
 
@@ -239,12 +239,12 @@ impl FrameSchedule {
     }
 
     /// The longest configured frame, in wideband samples.
-    pub fn max_frame_samples(&self) -> usize {
+    pub(crate) fn max_frame_samples(&self) -> usize {
         *self.frame_samples.values().max().expect("non-empty sfs")
     }
 
     /// Total arrivals scheduled so far.
-    pub fn emitted(&self) -> u64 {
+    pub(crate) fn emitted(&self) -> u64 {
         self.emitted
     }
 
@@ -254,14 +254,8 @@ impl FrameSchedule {
         self.next_time_s.is_none() && self.pending.is_empty()
     }
 
-    /// Nodes currently tracked as busy (bounded by concurrent frames, not
-    /// by `n_nodes`).
-    pub fn busy_entries(&self) -> usize {
-        self.busy_until.len()
-    }
-
     /// Approximate resident footprint of the scheduler state, bytes.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let pending = self.pending.len()
             * (std::mem::size_of::<PendingFrame>() + self.cfg.payload_len)
             + self
@@ -362,7 +356,7 @@ struct ActiveFrame {
 /// schedule; the stream is invariant to it) and drain ground truth with
 /// [`StreamedScenario::drain_truth`] as you go — truth for frames
 /// activated so far accumulates until drained and is counted in
-/// [`StreamedScenario::resident_bytes`].
+/// `StreamedScenario::resident_bytes`.
 pub struct StreamedScenario {
     plan: BandPlan,
     schedule: FrameSchedule,
@@ -431,16 +425,6 @@ impl StreamedScenario {
         };
         s.peak_resident = s.resident_bytes();
         s
-    }
-
-    /// The band plan.
-    pub fn plan(&self) -> &BandPlan {
-        &self.plan
-    }
-
-    /// The scenario configuration.
-    pub fn config(&self) -> &StreamConfig {
-        self.schedule.config()
     }
 
     /// Total stream length in wideband samples.
@@ -543,14 +527,9 @@ impl StreamedScenario {
         std::mem::take(&mut self.truth)
     }
 
-    /// Frames currently on the air.
-    pub fn active_frames(&self) -> usize {
-        self.active.len()
-    }
-
     /// Approximate resident footprint in bytes: chunk + arenas + active
     /// frame state + scheduler + chirp tables + undrained truth.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let c = std::mem::size_of::<Cf32>();
         let buffers =
             (self.chunk.capacity() + self.slice.capacity() + self.symbol_scratch.capacity()) * c;
@@ -575,7 +554,7 @@ impl StreamedScenario {
         buffers + active + truth + tables + self.schedule.resident_bytes()
     }
 
-    /// High-water mark of [`StreamedScenario::resident_bytes`] across the
+    /// High-water mark of `StreamedScenario::resident_bytes` across the
     /// run so far.
     pub fn peak_resident_bytes(&self) -> usize {
         self.peak_resident
@@ -703,7 +682,7 @@ mod tests {
             sched.emissions_until(horizon, &mut out);
             // Bounded by frames that can concurrently be on the air, far
             // below the node count.
-            assert!(sched.busy_entries() < 200, "{}", sched.busy_entries());
+            assert!(sched.busy_until.len() < 200, "{}", sched.busy_until.len());
             horizon += step;
         }
     }

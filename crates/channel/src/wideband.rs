@@ -5,7 +5,7 @@
 //! software: each packet's chirp waveform is generated *directly at the
 //! wideband sample rate* (same continuous-time signal, `os × D` samples
 //! per chip instead of `os`), then frequency-shifted onto its channel's
-//! carrier by [`superpose_into`]'s CFO rotation and summed. No resampling
+//! carrier by `superpose_into`'s CFO rotation and summed. No resampling
 //! step, so the synthesis is exact up to float rounding.
 //!
 //! [`generate_traffic`] layers Poisson arrivals from [`crate::traffic`]
@@ -109,7 +109,7 @@ pub fn synthesize(plan: &BandPlan, len: usize, packets: &[WidebandPacket]) -> Ve
 }
 
 /// Synthesise `packets` into an existing wideband buffer (adds).
-pub fn synthesize_into(plan: &BandPlan, buf: &mut [Cf32], packets: &[WidebandPacket]) {
+pub(crate) fn synthesize_into(plan: &BandPlan, buf: &mut [Cf32], packets: &[WidebandPacket]) {
     for p in packets {
         assert!(p.channel < plan.n_channels(), "channel index out of plan");
         let params = plan.wideband_params(p.sf);
@@ -175,12 +175,12 @@ pub struct WidebandCapture {
 }
 
 /// Node `i`'s static channel assignment under round-robin.
-pub fn node_channel(plan: &BandPlan, node: usize) -> usize {
+pub(crate) fn node_channel(plan: &BandPlan, node: usize) -> usize {
     node % plan.n_channels()
 }
 
 /// Node `i`'s static spreading factor under round-robin.
-pub fn node_sf(plan: &BandPlan, cfg: &TrafficConfig, node: usize) -> u8 {
+pub(crate) fn node_sf(plan: &BandPlan, cfg: &TrafficConfig, node: usize) -> u8 {
     cfg.sfs[(node / plan.n_channels()) % cfg.sfs.len()]
 }
 

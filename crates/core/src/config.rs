@@ -118,16 +118,6 @@ impl CicConfig {
     /// anything; beyond this, the only remaining degradation is shedding
     /// work entirely.
     pub const MAX_EFFORT_RUNG: usize = 2;
-
-    /// Label used in ablation reports.
-    pub fn ablation_label(&self) -> &'static str {
-        match (self.use_cfo_filter, self.use_power_filter) {
-            (true, true) => "CIC",
-            (false, true) => "CIC-(CFO)",
-            (true, false) => "CIC-(Power)",
-            (false, false) => "CIC-(Power,CFO)",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,22 +128,5 @@ mod tests {
     fn default_enables_all_features() {
         let c = CicConfig::default();
         assert!(c.use_sed && c.use_cfo_filter && c.use_power_filter);
-        assert_eq!(c.ablation_label(), "CIC");
-    }
-
-    #[test]
-    fn ablation_labels() {
-        assert_eq!(
-            CicConfig::ablation(false, true).ablation_label(),
-            "CIC-(CFO)"
-        );
-        assert_eq!(
-            CicConfig::ablation(true, false).ablation_label(),
-            "CIC-(Power)"
-        );
-        assert_eq!(
-            CicConfig::ablation(false, false).ablation_label(),
-            "CIC-(Power,CFO)"
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! 3. filters candidates by fractional CFO and received power when the
 //!    preamble provided estimates (paper §5.7, [`crate::filters`]);
 //! 4. breaks remaining ties with the Spectral Edge Difference
-//!    (paper §5.6, [`crate::sed`]).
+//!    (paper §5.6, `crate::sed`).
 //!
 //! The one decode entry point ([`CicDemodulator::demodulate_with`]) runs
 //! through a caller-owned [`DemodScratch`]: one full-window transform
@@ -43,7 +43,7 @@ pub struct SymbolContext {
     pub expected_peak_power: Option<f64>,
     /// Predicted tone positions (fractional bins) of interferers whose
     /// *preamble* overlaps this window (see
-    /// [`crate::tracker::Tracker::known_preamble_bins`]). A preamble tone
+    /// `crate::tracker::Tracker::known_preamble_bins`). A preamble tone
     /// is continuous across the interferer's symbol boundaries, so
     /// sub-symbol cancellation cannot remove it — but its position is
     /// known and candidates there are excluded.
@@ -136,11 +136,6 @@ impl CicDemodulator {
     /// The underlying de-chirping demodulator.
     pub fn inner(&self) -> &Demodulator {
         &self.demod
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &CicConfig {
-        &self.config
     }
 
     /// Compute `Φ_CIC` (Eqn 12): the spectral intersection over the
@@ -719,6 +714,66 @@ mod tests {
         let de = c.inner().dechirp(&win);
         let cic_spec = c.intersected_spectrum(&de, &b);
         assert_eq!(cic_spec.argmax().unwrap().0, 60);
+    }
+
+    #[test]
+    fn strawman_works_with_single_wide_spaced_interferer() {
+        let p = params();
+        let c = cic();
+        let (win, b) = collision(&p, 100, &[(7, 201, 512, 1.0)]);
+        let de = c.inner().dechirp(&win);
+        assert_eq!(c.strawman_spectrum(&de, &b).argmax().unwrap().0, 100);
+    }
+
+    #[test]
+    fn strawman_resolution_collapses_with_many_interferers() {
+        // Five interferers leave the strawman pieces ~1/6 of a symbol:
+        // resolution B/6. Measure the main-lobe width of the strawman
+        // spectrum around the wanted bin: it must be several bins wide,
+        // while full CIC keeps it narrow.
+        let p = params();
+        let c = cic();
+        let interferers: Vec<(usize, usize, usize, f64)> = vec![
+            (10, 60, 170, 1.0),
+            (90, 140, 340, 1.0),
+            (170, 220, 510, 1.0),
+            (250, 30, 680, 1.0),
+            (70, 120, 850, 1.0),
+        ];
+        let (win, b) = collision(&p, 128, &interferers);
+        let de = c.inner().dechirp(&win);
+        let straw = c.strawman_spectrum(&de, &b).normalized();
+        let full = c.intersected_spectrum(&de, &b).normalized();
+
+        // Width at half max around bin 128 (cyclic walk outward).
+        let width = |spec: &Spectrum| -> usize {
+            let peak = spec[128];
+            let mut w = 1usize;
+            for d in 1..64 {
+                let l = spec[(128 - d) % 256];
+                let r = spec[(128 + d) % 256];
+                if l < peak / 2.0 && r < peak / 2.0 {
+                    break;
+                }
+                w = 2 * d + 1;
+            }
+            w
+        };
+        assert!(
+            width(&straw) >= width(&full),
+            "strawman lobe {} vs CIC {}",
+            width(&straw),
+            width(&full)
+        );
+    }
+
+    #[test]
+    fn strawman_without_interferers_degenerates_to_standard() {
+        let p = params();
+        let c = cic();
+        let (win, b) = collision(&p, 42, &[]);
+        let de = c.inner().dechirp(&win);
+        assert_eq!(c.strawman_spectrum(&de, &b).argmax().unwrap().0, 42);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct Candidate {
 
 /// Per-candidate CFO predicate of [`cfo_filter`]: within `max_bins` of the
 /// preamble estimate (cyclic distance, so +0.49 and −0.49 are close).
-pub fn cfo_matches(c: &Candidate, expect_frac: f64, max_bins: f64) -> bool {
+pub(crate) fn cfo_matches(c: &Candidate, expect_frac: f64, max_bins: f64) -> bool {
     fractional_distance(c.frac_offset_bins, expect_frac) <= max_bins
 }
 
@@ -37,7 +37,7 @@ pub fn cfo_matches(c: &Candidate, expect_frac: f64, max_bins: f64) -> bool {
 /// power within `max_db` of the preamble estimate. `expect_power <= 0`
 /// (no estimate) passes everything; a zero-power candidate fails any
 /// positive estimate.
-pub fn power_matches(c: &Candidate, expect_power: f64, max_db: f64) -> bool {
+pub(crate) fn power_matches(c: &Candidate, expect_power: f64, max_db: f64) -> bool {
     if expect_power <= 0.0 {
         return true;
     }
@@ -50,7 +50,11 @@ pub fn power_matches(c: &Candidate, expect_power: f64, max_db: f64) -> bool {
 /// Keep candidates whose fractional CFO is within `max_bins` of the
 /// transmitter's preamble estimate (cyclic distance, so +0.49 and −0.49
 /// are close).
-pub fn cfo_filter(candidates: &[Candidate], expect_frac: f64, max_bins: f64) -> Vec<Candidate> {
+pub(crate) fn cfo_filter(
+    candidates: &[Candidate],
+    expect_frac: f64,
+    max_bins: f64,
+) -> Vec<Candidate> {
     candidates
         .iter()
         .copied()
@@ -60,7 +64,11 @@ pub fn cfo_filter(candidates: &[Candidate], expect_frac: f64, max_bins: f64) -> 
 
 /// Keep candidates whose full-window peak power is within `max_db` of the
 /// transmitter's preamble estimate.
-pub fn power_filter(candidates: &[Candidate], expect_power: f64, max_db: f64) -> Vec<Candidate> {
+pub(crate) fn power_filter(
+    candidates: &[Candidate],
+    expect_power: f64,
+    max_db: f64,
+) -> Vec<Candidate> {
     candidates
         .iter()
         .copied()

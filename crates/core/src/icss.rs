@@ -30,7 +30,7 @@ pub fn optimal_icss(boundaries: &Boundaries, min_subsymbol_samples: usize) -> Ve
 /// [`optimal_icss`] into a reused vector (`out` is cleared, not
 /// reallocated): boundaries usually repeat across consecutive symbols of
 /// the same collision, so the demod loop rebuilds this set every window.
-pub fn optimal_icss_into(
+pub(crate) fn optimal_icss_into(
     boundaries: &Boundaries,
     min_subsymbol_samples: usize,
     out: &mut Vec<SampleRange>,

@@ -15,9 +15,9 @@
 //!    unit-energy spectra) so that only the frequency present in *all* of
 //!    them — the wanted symbol — survives ([`demod`]),
 //! 4. resolves residual ambiguity with the Spectral Edge Difference
-//!    ([`sed`]) and per-transmitter CFO / power filters ([`filters`]),
+//!    (`sed`) and per-transmitter CFO / power filters ([`filters`]),
 //! 5. detects packets under collisions with down-chirp preamble search
-//!    ([`preamble`]) and tracks the active set ([`tracker`]).
+//!    ([`preamble`]) and tracks the active set (`tracker`).
 //!
 //! The end-to-end receiver pipeline lives in [`receiver`] and runs
 //! sequentially; CIC's per-packet and per-symbol independence is used one
@@ -57,18 +57,17 @@ pub mod icss;
 pub mod preamble;
 pub mod receiver;
 pub mod scratch;
-pub mod sed;
+mod sed;
 pub mod sic;
 pub mod stream;
 pub mod subsymbol;
-pub mod tracker;
+mod tracker;
 
 pub use config::CicConfig;
 pub use demod::{CicDemodulator, Selection, SymbolContext, SymbolDecision};
-pub use preamble::{Detection, PreambleDetector};
+pub use preamble::Detection;
 pub use receiver::{CicReceiver, DecodedPacket};
 pub use scratch::DemodScratch;
 pub use sic::{ResidualBuffer, SicConfig, SicReport};
 pub use stream::StreamingReceiver;
 pub use subsymbol::Boundaries;
-pub use tracker::{ActiveTx, Tracker};

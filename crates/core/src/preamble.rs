@@ -34,7 +34,7 @@ pub struct Detection {
 }
 
 /// Down-chirp based preamble detector (the CIC method).
-pub struct PreambleDetector {
+pub(crate) struct PreambleDetector {
     demod: Demodulator,
     config: CicConfig,
     layout: FrameLayout,
@@ -42,7 +42,7 @@ pub struct PreambleDetector {
 
 impl PreambleDetector {
     /// Build a detector.
-    pub fn new(params: LoraParams, config: CicConfig) -> Self {
+    pub(crate) fn new(params: LoraParams, config: CicConfig) -> Self {
         Self {
             demod: Demodulator::new(params),
             layout: FrameLayout::new(&params),
@@ -51,13 +51,13 @@ impl PreambleDetector {
     }
 
     /// Parameters in use.
-    pub fn params(&self) -> &LoraParams {
+    pub(crate) fn params(&self) -> &LoraParams {
         self.demod.params()
     }
 
     /// Scan a capture and return all confirmed detections, sorted by
     /// frame start.
-    pub fn detect(&self, capture: &[Cf32]) -> Vec<Detection> {
+    pub(crate) fn detect(&self, capture: &[Cf32]) -> Vec<Detection> {
         let sps = self.params().samples_per_symbol();
         if capture.len() < self.layout.data_start {
             return Vec::new();

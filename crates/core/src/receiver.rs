@@ -5,7 +5,7 @@
 //!
 //! 1. down-chirp preamble detection ([`crate::preamble`]) finds every
 //!    frame start and estimates its CFO and preamble peak power;
-//! 2. a [`crate::tracker::Tracker`] derives, for each symbol window of
+//! 2. a `crate::tracker::Tracker` derives, for each symbol window of
 //!    each packet, the boundary offsets of all interfering transmissions;
 //! 3. each window is CFO-derotated, de-chirped and demodulated with the
 //!    CIC spectral intersection ([`crate::demod`]);
@@ -76,25 +76,20 @@ impl CicReceiver {
     }
 
     /// Parameters in use.
-    pub fn params(&self) -> &LoraParams {
+    pub(crate) fn params(&self) -> &LoraParams {
         &self.params
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &CicConfig {
-        &self.config
     }
 
     /// Replace the configuration at runtime. Effort knobs
     /// (`decode_passes`, candidate limits, SED windows, SIC depth) take
     /// effect on the next `receive*` call; parameters and payload length
     /// are fixed at construction and unaffected.
-    pub fn set_config(&mut self, config: CicConfig) {
+    pub(crate) fn set_config(&mut self, config: CicConfig) {
         self.config = config;
     }
 
     /// Expected number of data symbols per packet.
-    pub fn n_data_symbols(&self) -> usize {
+    pub(crate) fn n_data_symbols(&self) -> usize {
         self.codec.n_symbols(self.payload_len)
     }
 
@@ -115,7 +110,6 @@ impl CicReceiver {
                 frame_start: d.frame_start,
                 n_data_symbols: n_data,
                 cfo_bins: d.cfo_bins,
-                peak_power: d.peak_power,
             })
             .collect();
         Tracker::new(&self.params, txs)
@@ -187,7 +181,7 @@ impl CicReceiver {
     /// [`SicReport`] feeds the gateway's telemetry.
     /// [`CicReceiver::receive`] is this with a fresh arena and the report
     /// dropped; with `sic.depth == 0` the report is empty.
-    pub fn receive_hybrid(
+    pub(crate) fn receive_hybrid(
         &self,
         capture: &[Cf32],
         residual: &mut ResidualBuffer,

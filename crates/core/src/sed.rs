@@ -16,7 +16,7 @@ use lora_phy::{Demodulator, SpectrumScratch};
 
 /// Left- and right-edge intersected spectra of one de-chirped window.
 #[derive(Debug, Clone)]
-pub struct EdgeSpectra {
+pub(crate) struct EdgeSpectra {
     /// `λ_lh` of Eqn 16.
     pub left: Spectrum,
     /// `λ_rh` of Eqn 17.
@@ -33,7 +33,7 @@ impl EdgeSpectra {
     /// windows, small enough that the halves stay halves (a large slide
     /// would let the intersection suppress partial symbols on *both*
     /// edges and destroy the imbalance SED relies on).
-    pub fn compute(demod: &Demodulator, dechirped: &[Cf32], n_windows: usize) -> Self {
+    pub(crate) fn compute(demod: &Demodulator, dechirped: &[Cf32], n_windows: usize) -> Self {
         let mut out = Self::empty();
         Self::compute_scratch(
             demod,
@@ -48,7 +48,7 @@ impl EdgeSpectra {
 
     /// Edge spectra with no bins; a target for
     /// [`EdgeSpectra::compute_scratch`].
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             left: Spectrum::from_power(Vec::new()),
             right: Spectrum::from_power(Vec::new()),
@@ -59,7 +59,7 @@ impl EdgeSpectra {
     /// amplitude spectrum lands in `tmp` and is folded into `out`'s
     /// running intersections in place. Allocation-free once warm;
     /// bit-identical results.
-    pub fn compute_scratch(
+    pub(crate) fn compute_scratch(
         demod: &Demodulator,
         dechirped: &[Cf32],
         n_windows: usize,
@@ -112,7 +112,7 @@ impl EdgeSpectra {
     /// The SED `Δ(f) = |λ_rh(f) - λ_lh(f)|` at bin `f` (paper Eqn 15,
     /// absolute — a strong interferer's imbalance outweighs a weak but
     /// balanced true peak's noise jitter).
-    pub fn sed(&self, bin: usize) -> f64 {
+    pub(crate) fn sed(&self, bin: usize) -> f64 {
         let l = self.left[bin];
         let r = self.right[bin];
         if l <= 0.0 && r <= 0.0 {
@@ -130,12 +130,12 @@ impl EdgeSpectra {
     /// edge energy never rises above a few times the spectra's median are
     /// spectral voids — their `|λ_rh - λ_lh|` is trivially tiny — and are
     /// ranked last rather than first.
-    pub fn best_candidate(&self, bins: &[usize]) -> Option<usize> {
+    pub(crate) fn best_candidate(&self, bins: &[usize]) -> Option<usize> {
         self.best_candidate_with(bins, &mut Vec::new())
     }
 
     /// [`EdgeSpectra::best_candidate`] with a reused median scratch.
-    pub fn best_candidate_with(
+    pub(crate) fn best_candidate_with(
         &self,
         bins: &[usize],
         median_scratch: &mut Vec<f64>,

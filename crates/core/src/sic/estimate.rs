@@ -25,11 +25,9 @@ use crate::sic::SicConfig;
 
 /// Refined subtraction parameters for one decoded packet.
 #[derive(Debug, Clone, Copy)]
-pub struct SicEstimate {
+pub(crate) struct SicEstimate {
     /// Refined frame start, as a sample index into the residual buffer.
     pub frame_start: usize,
-    /// Refined CFO in fractional bins.
-    pub cfo_bins: f64,
     /// Least-squares complex gain of the reference over the fitted span.
     pub gain: Cf64,
     /// Fraction of the span's energy the scaled reference explains
@@ -47,12 +45,11 @@ pub struct SicEstimate {
 /// `gain · reference` at `frame_start` is the waveform to subtract.
 /// Returns `None` when the frame does not overlap the buffer by at
 /// least one symbol or the reference is degenerate.
-pub fn refine(
+pub(crate) fn refine(
     params: &LoraParams,
     residual: &[Cf32],
     reference: &mut [Cf32],
     coarse_start: usize,
-    coarse_cfo_bins: f64,
     cfg: &SicConfig,
 ) -> Option<SicEstimate> {
     let sps = params.samples_per_symbol();
@@ -101,7 +98,6 @@ pub fn refine(
     let res = &residual[start..end];
 
     // Residual-CFO refinement from the block-gain phase slope.
-    let mut cfo_bins = coarse_cfo_bins;
     for _ in 0..cfg.refine_iters {
         let nb = cfg.refine_blocks.min(n / sps);
         if nb < 2 {
@@ -136,7 +132,6 @@ pub fn refine(
             break;
         }
         lora_phy::chirp::apply_cfo(params, reference, df_hz, 0);
-        cfo_bins += df_hz / params.bin_hz();
     }
 
     // Final least-squares gain over the aligned span.
@@ -150,7 +145,6 @@ pub fn refine(
     }
     Some(SicEstimate {
         frame_start: start,
-        cfo_bins,
         gain: num / den,
         match_ratio: (num.norm_sqr() / den) / e_span,
         span: n,
@@ -193,13 +187,21 @@ mod tests {
             depth: 1,
             ..SicConfig::default()
         };
-        let est = refine(&p, &cap, &mut reference, 2995, coarse_cfo, &cfg).unwrap();
+        let est = refine(&p, &cap, &mut reference, 2995, &cfg).unwrap();
         assert_eq!(est.frame_start, 3000);
-        assert!(
-            (est.cfo_bins - truth_cfo).abs() < 2e-3,
-            "cfo {} vs {truth_cfo}",
-            est.cfo_bins
-        );
+        // `reference` now carries the refined CFO: against the truth-CFO
+        // frame its phase advances by 2π·(CFO error in bins) per symbol.
+        let sps = p.samples_per_symbol();
+        let drift = (sps..reference.len())
+            .step_by(sps)
+            .fold(Cf64::new(0.0, 0.0), |acc, i| {
+                let now = reference[i] * wave[i].conj();
+                let before = reference[i - sps] * wave[i - sps].conj();
+                let z = now * before.conj();
+                acc + Cf64::new(z.re as f64, z.im as f64)
+            });
+        let cfo_err = drift.im.atan2(drift.re) / std::f64::consts::TAU;
+        assert!(cfo_err.abs() < 2e-3, "cfo error {cfo_err} bins");
         assert!((est.gain.norm() - 0.5).abs() < 1e-3, "gain {:?}", est.gain);
         assert!(est.match_ratio > 0.99, "match {}", est.match_ratio);
     }
@@ -215,7 +217,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let cap = lora_channel::awgn::noise_buffer(&mut rng, reference.len() + 4000);
         let cfg = SicConfig::default();
-        let est = refine(&p, &cap, &mut reference, 1000, 0.0, &cfg).unwrap();
+        let est = refine(&p, &cap, &mut reference, 1000, &cfg).unwrap();
         // Expectation for a noise-only LS fit is 1/span; allow an order
         // of magnitude of slack — still far below any real packet.
         assert!(
@@ -232,6 +234,6 @@ mod tests {
         let m = Modulator::new(p);
         let mut reference = m.frame_waveform(&[0, 1, 2]);
         let cap = vec![Cf32::new(0.0, 0.0); 100];
-        assert!(refine(&p, &cap, &mut reference, 500, 0.0, &SicConfig::default()).is_none());
+        assert!(refine(&p, &cap, &mut reference, 500, &SicConfig::default()).is_none());
     }
 }

@@ -9,7 +9,7 @@
 //! 1. run CIC as usual;
 //! 2. for every CRC-clean packet, regenerate its unit-amplitude frame
 //!    from the decoded symbols, refine timing/CFO/gain against the
-//!    capture ([`estimate`]), and subtract the scaled reference from a
+//!    capture, and subtract the scaled reference from a
 //!    retained copy ([`ResidualBuffer`], kernel in [`subtract`]);
 //! 3. re-run CIC over the residual; packets that now decode are merged
 //!    into the result set (tagged with the pass that recovered them) and
@@ -21,11 +21,10 @@
 //! multiplies decode cost: the gateway engages it through a dedicated
 //! boost rung of the overload ladder only when it has headroom.
 
-pub mod estimate;
+mod estimate;
 pub mod residual;
 pub mod subtract;
 
-pub use estimate::SicEstimate;
 pub use residual::{CancelOutcome, ResidualBuffer};
 
 /// Tunables of the residual-cancellation stage.

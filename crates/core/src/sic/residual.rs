@@ -6,7 +6,7 @@
 //! scratch-arena discipline of the demod hot path), then each
 //! CRC-clean packet is removed with [`ResidualBuffer::cancel`]:
 //! regenerate the frame from its decoded symbols, refine
-//! timing/CFO/gain against the buffer ([`crate::sic::estimate`]), and
+//! timing/CFO/gain against the buffer (`crate::sic::estimate`), and
 //! subtract the scaled reference ([`crate::sic::subtract`]). The
 //! receiver then re-runs CIC over [`ResidualBuffer::samples`] to find
 //! packets that were buried. A buffer is *not* kept across captures:
@@ -17,7 +17,7 @@
 //! consecutive pushes (a packet stays inside the retained window for
 //! several chunks), the buffer memoizes regenerated reference waveforms
 //! keyed by packet identity (symbols + quantized CFO). The cached copy
-//! is the *pristine* modulated frame — [`refine`] adjusts its timing and
+//! is the *pristine* modulated frame — `refine` adjusts its timing and
 //! residual CFO in place against the current residual, so every hit
 //! restores the untouched waveform before refinement runs.
 
@@ -91,7 +91,7 @@ impl ResidualBuffer {
     }
 
     /// Total energy of the current residual.
-    pub fn energy(&self) -> f64 {
+    pub(crate) fn energy(&self) -> f64 {
         lora_dsp::math::energy(&self.residual)
     }
 
@@ -114,7 +114,6 @@ impl ResidualBuffer {
             &self.residual,
             &mut self.reference,
             frame_start,
-            cfo_bins,
             cfg,
         ) else {
             return CancelOutcome::Abandoned;
@@ -171,7 +170,7 @@ impl ResidualBuffer {
     /// Cumulative (hits, misses) of the reference-waveform cache over
     /// the buffer's lifetime. Callers that report per-call deltas should
     /// snapshot before and after.
-    pub fn cache_counters(&self) -> (u64, u64) {
+    pub(crate) fn cache_counters(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
 }

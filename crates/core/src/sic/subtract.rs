@@ -14,8 +14,7 @@
 //! (`lora-baselines`). Accumulation is in `f64` (the spans run to
 //! hundreds of thousands of samples at SF 12); the production kernel
 //! splits the sum over four accumulators so the compiler can keep the
-//! multiply-adds pipelined, and [`scalar`] holds the straight-line oracle
-//! the tests pin it against.
+//! multiply-adds pipelined, and a test-only straight-line oracle pins it.
 
 use lora_dsp::{Cf32, Cf64};
 
@@ -24,7 +23,7 @@ const LANES: usize = 4;
 
 /// Cross-correlation `<r, f>` and reference energy `<f, f>` over the
 /// common prefix of `residual` and `reference`, accumulated in `f64`.
-pub fn correlate(residual: &[Cf32], reference: &[Cf32]) -> (Cf64, f64) {
+pub(crate) fn correlate(residual: &[Cf32], reference: &[Cf32]) -> (Cf64, f64) {
     let n = residual.len().min(reference.len());
     let (r, f) = (&residual[..n], &reference[..n]);
     let mut re = [0.0f64; LANES];
@@ -53,7 +52,7 @@ pub fn correlate(residual: &[Cf32], reference: &[Cf32]) -> (Cf64, f64) {
 
 /// Least-squares complex gain `g = <r, f> / <f, f>`, or `None` when the
 /// reference carries no energy over the common span.
-pub fn ls_gain(residual: &[Cf32], reference: &[Cf32]) -> Option<Cf64> {
+pub(crate) fn ls_gain(residual: &[Cf32], reference: &[Cf32]) -> Option<Cf64> {
     let (num, den) = correlate(residual, reference);
     (den > 0.0).then(|| num / den)
 }
@@ -61,7 +60,7 @@ pub fn ls_gain(residual: &[Cf32], reference: &[Cf32]) -> Option<Cf64> {
 /// Subtract `gain · reference` from `residual` in place over their common
 /// prefix. The gain is applied in `f32` — the same precision the samples
 /// carry.
-pub fn subtract_scaled(residual: &mut [Cf32], reference: &[Cf32], gain: Cf64) {
+pub(crate) fn subtract_scaled(residual: &mut [Cf32], reference: &[Cf32], gain: Cf64) {
     let g = Cf32::new(gain.re as f32, gain.im as f32);
     let n = residual.len().min(reference.len());
     for (r, f) in residual[..n].iter_mut().zip(&reference[..n]) {
@@ -90,12 +89,14 @@ pub fn project_out(residual: &mut [Cf32], reference: &[Cf32], frame_start: usize
 
 /// Straight-line reference implementations: one accumulator, strictly
 /// sequential summation. The production kernels above must agree with
-/// these to within `f64` reassociation error.
-pub mod scalar {
+/// these to within `f64` reassociation error. Test-only: the kernel tests
+/// below are their only callers.
+#[cfg(test)]
+mod scalar {
     use super::{Cf32, Cf64};
 
     /// Sequential-sum counterpart of [`super::correlate`].
-    pub fn correlate(residual: &[Cf32], reference: &[Cf32]) -> (Cf64, f64) {
+    pub(super) fn correlate(residual: &[Cf32], reference: &[Cf32]) -> (Cf64, f64) {
         let mut num = Cf64::new(0.0, 0.0);
         let mut den = 0.0f64;
         for (r, f) in residual.iter().zip(reference) {
@@ -107,7 +108,7 @@ pub mod scalar {
     }
 
     /// Element-by-element counterpart of [`super::subtract_scaled`].
-    pub fn subtract_scaled(residual: &mut [Cf32], reference: &[Cf32], gain: Cf64) {
+    pub(super) fn subtract_scaled(residual: &mut [Cf32], reference: &[Cf32], gain: Cf64) {
         let g = Cf32::new(gain.re as f32, gain.im as f32);
         for (r, f) in residual.iter_mut().zip(reference) {
             *r -= g * f;

@@ -48,11 +48,6 @@ impl StreamingReceiver {
         }
     }
 
-    /// The wrapped batch receiver.
-    pub fn inner(&self) -> &CicReceiver {
-        &self.rx
-    }
-
     /// Cumulative counters of the SIC residual stage over the stream so
     /// far. All zero while the stage is disabled. Emission of
     /// SIC-recovered packets goes through the same suppressions as every

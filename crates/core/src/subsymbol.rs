@@ -31,17 +31,17 @@ impl Boundaries {
     }
 
     /// Window length in samples (`T_s` in samples for a full symbol).
-    pub fn window_len(&self) -> usize {
+    pub(crate) fn window_len(&self) -> usize {
         self.window_len
     }
 
     /// The interior boundary offsets `τ_2 … τ_N` (sorted).
-    pub fn offsets(&self) -> &[usize] {
+    pub(crate) fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
     /// Number of distinct interferer transitions in the window.
-    pub fn n_transitions(&self) -> usize {
+    pub(crate) fn n_transitions(&self) -> usize {
         self.offsets.len()
     }
 
@@ -61,7 +61,7 @@ impl Boundaries {
     /// The Strawman-CIC ICSS (paper Fig 9): the first and last
     /// consecutive sub-symbols, `{r_{1→2}, r_{N→N+1}}`. With no
     /// interferers this degenerates to the full window.
-    pub fn strawman_icss(&self) -> Vec<SampleRange> {
+    pub(crate) fn strawman_icss(&self) -> Vec<SampleRange> {
         if self.offsets.is_empty() {
             return vec![SampleRange::new(0, self.window_len)];
         }

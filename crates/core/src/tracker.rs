@@ -14,7 +14,7 @@ use crate::subsymbol::Boundaries;
 
 /// One detected, still-active transmission.
 #[derive(Debug, Clone)]
-pub struct ActiveTx {
+pub(crate) struct ActiveTx {
     /// Identifier (index in detection order).
     pub id: usize,
     /// Sample index of the frame start within the capture.
@@ -23,8 +23,6 @@ pub struct ActiveTx {
     pub n_data_symbols: usize,
     /// Estimated CFO in bins (integer + fractional).
     pub cfo_bins: f64,
-    /// Estimated full-window peak power from the preamble.
-    pub peak_power: f64,
 }
 
 impl ActiveTx {
@@ -40,7 +38,7 @@ impl ActiveTx {
     /// without cancelling anything. Boundaries kept: frame start, the
     /// down-chirp edges (up-chirp→down-chirp is a real spectral change),
     /// the quarter-chirp end, and every data-symbol edge.
-    pub fn boundary_positions(&self, layout: &FrameLayout) -> Vec<usize> {
+    pub(crate) fn boundary_positions(&self, layout: &FrameLayout) -> Vec<usize> {
         let sps = layout.samples_per_symbol;
         let mut out = Vec::with_capacity(8 + self.n_data_symbols);
         out.push(self.frame_start);
@@ -59,19 +57,14 @@ impl ActiveTx {
     }
 
     /// Sample index where the frame ends.
-    pub fn frame_end(&self, layout: &FrameLayout) -> usize {
+    pub(crate) fn frame_end(&self, layout: &FrameLayout) -> usize {
         self.frame_start + layout.frame_len(self.n_data_symbols)
-    }
-
-    /// Sample index where data symbol `k` starts.
-    pub fn data_symbol_start(&self, layout: &FrameLayout, k: usize) -> usize {
-        self.frame_start + layout.data_symbol_start(k)
     }
 }
 
 /// The set of transmissions active in a capture.
 #[derive(Debug, Clone)]
-pub struct Tracker {
+pub(crate) struct Tracker {
     layout: FrameLayout,
     oversampling: usize,
     n_bins: usize,
@@ -80,7 +73,7 @@ pub struct Tracker {
 
 impl Tracker {
     /// Build a tracker for the given parameter set and detections.
-    pub fn new(params: &LoraParams, txs: Vec<ActiveTx>) -> Self {
+    pub(crate) fn new(params: &LoraParams, txs: Vec<ActiveTx>) -> Self {
         Self {
             layout: FrameLayout::new(params),
             oversampling: params.oversampling(),
@@ -90,19 +83,19 @@ impl Tracker {
     }
 
     /// Frame layout in use.
-    pub fn layout(&self) -> &FrameLayout {
+    pub(crate) fn layout(&self) -> &FrameLayout {
         &self.layout
     }
 
     /// All tracked transmissions.
-    pub fn txs(&self) -> &[ActiveTx] {
+    pub(crate) fn txs(&self) -> &[ActiveTx] {
         &self.txs
     }
 
     /// Interferer boundaries within `[window_start, window_start + len)`
     /// for the transmission `target_id`, as window-relative offsets —
     /// ready for [`crate::icss::optimal_icss`].
-    pub fn interferer_boundaries(
+    pub(crate) fn interferer_boundaries(
         &self,
         target_id: usize,
         window_start: usize,
@@ -138,7 +131,7 @@ impl Tracker {
     /// predictable from the detection: grid offset `τ/os` plus the CFO
     /// difference, with the sync words `+8` and `+16` bins above it. The
     /// demodulator excludes candidates at these bins.
-    pub fn known_preamble_bins(
+    pub(crate) fn known_preamble_bins(
         &self,
         target_id: usize,
         target_cfo_bins: f64,
@@ -177,7 +170,7 @@ impl Tracker {
     /// [`Tracker::known_preamble_bins`]: both data symbols overlapping
     /// the window de-chirp to `value + δ/os + Δcfo` where `δ` is the
     /// window's offset into the interferer's symbol.
-    pub fn known_data_bins(
+    pub(crate) fn known_data_bins(
         &self,
         target_id: usize,
         target_cfo_bins: f64,
@@ -215,17 +208,6 @@ impl Tracker {
         }
         out
     }
-
-    /// Number of transmissions whose frames overlap the given window
-    /// (including the target itself if it does).
-    pub fn overlap_count(&self, window_start: usize, len: usize) -> usize {
-        self.txs
-            .iter()
-            .filter(|tx| {
-                tx.frame_start < window_start + len && tx.frame_end(&self.layout) > window_start
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +224,6 @@ mod tests {
             frame_start: start,
             n_data_symbols: 4,
             cfo_bins: 0.0,
-            peak_power: 1.0,
         }
     }
 
@@ -299,14 +280,12 @@ mod tests {
                     frame_start: 0,
                     n_data_symbols: 25,
                     cfo_bins: 1.23,
-                    peak_power: 1.0,
                 },
                 ActiveTx {
                     id: 1,
                     frame_start: 27324,
                     n_data_symbols: 25,
                     cfo_bins: 4.10,
-                    peak_power: 1.0,
                 },
             ],
         );
@@ -327,13 +306,12 @@ mod tests {
             frame_start: 0,
             n_data_symbols: 10,
             cfo_bins: 2.0,
-            peak_power: 1.0,
         };
         let tracker = Tracker::new(&p, vec![tx(0, 50_000), interferer.clone()]);
         let mut decoded = std::collections::HashMap::new();
         decoded.insert(1usize, vec![7usize; 10]);
         // A window starting 100 samples into the interferer's data symbol 3.
-        let ws = interferer.data_symbol_start(&layout, 3) + 100;
+        let ws = interferer.frame_start + layout.data_symbol_start(3) + 100;
         let bins = tracker.known_data_bins(0, 0.5, ws, sps, &decoded);
         // Both overlapping symbols have value 7; shift = 100/4 + (2.0-0.5).
         let expect = 7.0 + 25.0 + 1.5;
@@ -362,7 +340,6 @@ mod tests {
             frame_start: 5000,
             n_data_symbols: 25,
             cfo_bins: 0.0,
-            peak_power: 1.0,
         };
         // A window entirely inside the interferer's *data* region.
         let ws = 5000 + layout.data_start + 3 * layout.samples_per_symbol;
@@ -404,17 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_count_counts_frames() {
-        let p = params();
-        let layout = FrameLayout::new(&p);
-        let t0 = tx(0, 0);
-        let end = t0.frame_end(&layout);
-        let tracker = Tracker::new(&p, vec![t0, tx(1, 500), tx(2, end + 10)]);
-        assert_eq!(tracker.overlap_count(0, 600), 2);
-        assert_eq!(tracker.overlap_count(end + 5, 100), 2);
-    }
-
-    #[test]
     fn consecutive_data_symbols_have_one_boundary_per_interferer() {
         // In the steady data region, each interferer contributes exactly
         // one boundary per symbol window (paper Fig 6).
@@ -431,7 +397,7 @@ mod tests {
         };
         let tracker = Tracker::new(&p, vec![a.clone(), b]);
         for k in 5..10 {
-            let ws = a.data_symbol_start(&layout, k);
+            let ws = a.frame_start + layout.data_symbol_start(k);
             let bounds = tracker.interferer_boundaries(0, ws, sps);
             assert_eq!(bounds.n_transitions(), 1, "symbol {k}");
         }

@@ -15,7 +15,7 @@
 /// *pre-reversed*, so this forward sweep over a contiguous window of the
 /// history planes evaluates the FIR convolution at one output instant.
 #[inline]
-pub fn fir_dot(taps: &[f32], re: &[f32], im: &[f32]) -> (f32, f32) {
+pub(crate) fn fir_dot(taps: &[f32], re: &[f32], im: &[f32]) -> (f32, f32) {
     assert_eq!(taps.len(), re.len());
     assert_eq!(taps.len(), im.len());
     let mut ar = [0.0f32; 4];

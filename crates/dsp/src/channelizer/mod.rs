@@ -30,7 +30,7 @@
 //!   pass deposits each mixed wideband sample into exactly one branch
 //!   (branch `r = (D − n mod D) mod D` at branch position
 //!   `u = (n + r) / D`), after which each output is D short contiguous
-//!   planar dot products ([`kernel::fir_dot`]) at the *decimated* rate,
+//!   planar dot products (`kernel::fir_dot`) at the *decimated* rate,
 //!   summed in fixed branch order. The D sub-filters are built once and
 //!   shared by every channel; each channel owns only its NCO and its D
 //!   branch histories, planar re/im `f32` planes that stay unallocated
@@ -139,7 +139,7 @@ impl ChannelizerConfig {
     /// Check the fields [`Channelizer::new`] designs the filter from and
     /// [`Channelizer::process`] decimates by, naming the first one no
     /// channelizer can be built or run from. A hand-built plan that fails
-    /// here would otherwise panic in [`lowpass_taps`] or on the first
+    /// here would otherwise panic in `lowpass_taps` or on the first
     /// push.
     pub fn validate(&self) -> Result<(), ChannelizerError> {
         let rate = self.wideband_rate_hz;
@@ -205,7 +205,7 @@ impl std::error::Error for ChannelizerError {}
 
 /// Hamming windowed-sinc low-pass prototype with unity DC gain.
 /// `cutoff_norm` is the cutoff in cycles per (wideband) sample.
-pub fn lowpass_taps(num_taps: usize, cutoff_norm: f64) -> Vec<f32> {
+pub(crate) fn lowpass_taps(num_taps: usize, cutoff_norm: f64) -> Vec<f32> {
     assert!(num_taps >= 1);
     assert!(cutoff_norm > 0.0 && cutoff_norm < 0.5);
     let mid = (num_taps - 1) as f64 / 2.0;
@@ -368,11 +368,6 @@ impl Channelizer {
             pos: 0,
             flushed: false,
         }
-    }
-
-    /// The channel plan this channelizer was built from.
-    pub fn config(&self) -> &ChannelizerConfig {
-        &self.config
     }
 
     /// Group delay of the channel filter, in *wideband* samples. A feature

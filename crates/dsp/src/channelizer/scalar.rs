@@ -56,14 +56,9 @@ impl Channelizer {
         }
     }
 
-    /// The channel plan this channelizer was built from.
-    pub fn config(&self) -> &ChannelizerConfig {
-        &self.config
-    }
-
     /// Group delay of the channel filter, in *wideband* samples (see
     /// [`super::Channelizer::group_delay_wideband`]).
-    pub fn group_delay_wideband(&self) -> usize {
+    pub(crate) fn group_delay_wideband(&self) -> usize {
         (self.config.num_taps - 1) / 2
     }
 
@@ -127,16 +122,6 @@ impl Channelizer {
         let zeros = vec![Cf32::new(0.0, 0.0); self.group_delay_wideband()];
         self.process_inner(&zeros)
     }
-
-    /// Channelize a whole capture in one call, including the group-delay
-    /// tail.
-    pub fn process_all(&mut self, samples: &[Cf32]) -> Vec<Vec<Cf32>> {
-        let mut out = self.process(samples);
-        for (o, tail) in out.iter_mut().zip(self.flush()) {
-            o.extend(tail);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +141,11 @@ mod tests {
                 Cf32::new(ang.cos(), ang.sin()) * 0.8
             })
             .collect();
-        let whole = Channelizer::new(cfg.clone()).process_all(&x);
+        let mut one_shot = Channelizer::new(cfg.clone());
+        let mut whole = one_shot.process(&x);
+        for (o, tail) in whole.iter_mut().zip(one_shot.flush()) {
+            o.extend(tail);
+        }
         let mut chunked = Channelizer::new(cfg.clone());
         let mut acc: Vec<Vec<Cf32>> = vec![Vec::new(); cfg.n_channels()];
         for chunk in x.chunks(997) {

@@ -70,6 +70,9 @@ impl FftEngine {
 
     /// In-place inverse FFT of `buf`, scaled by `1/N` so that
     /// `inverse(forward(x)) == x`.
+    ///
+    /// For tests only: it is the oracle of the forward transform's
+    /// round-trip tests. No production path calls it.
     pub fn inverse(&self, buf: &mut [Cf32]) {
         let n = buf.len();
         if n == 0 {
@@ -86,7 +89,7 @@ impl FftEngine {
     /// buffer and the optimised kernel: no allocation once the plan and
     /// scratch for this length are warm. Results are numerically identical
     /// to [`FftEngine::forward`] (every element compares `==`).
-    pub fn forward_scratch(&self, buf: &mut [Cf32]) {
+    pub(crate) fn forward_scratch(&self, buf: &mut [Cf32]) {
         if buf.is_empty() {
             return;
         }
@@ -118,7 +121,7 @@ impl FftEngine {
     /// returning a fresh buffer. Zero-padding interpolates the spectrum on
     /// a denser grid without changing its resolution — this is how
     /// sub-symbol spectra are placed on the common CIC frequency grid.
-    pub fn forward_padded(&self, x: &[Cf32], n: usize) -> Vec<Cf32> {
+    pub(crate) fn forward_padded(&self, x: &[Cf32], n: usize) -> Vec<Cf32> {
         let mut buf = vec![Cf32::new(0.0, 0.0); n];
         let m = x.len().min(n);
         buf[..m].copy_from_slice(&x[..m]);
@@ -126,7 +129,7 @@ impl FftEngine {
         buf
     }
 
-    /// [`FftEngine::forward_padded`] into a reused buffer: `buf` is
+    /// `FftEngine::forward_padded` into a reused buffer: `buf` is
     /// cleared, zero-filled to `n` and transformed in place. Allocation-free
     /// once `buf` has capacity and the plan is warm; bit-identical output.
     pub fn forward_padded_into(&self, x: &[Cf32], n: usize, buf: &mut Vec<Cf32>) {
@@ -141,21 +144,6 @@ impl FftEngine {
     pub fn power_spectrum_padded(&self, x: &[Cf32], n: usize) -> Vec<f64> {
         let buf = self.forward_padded(x, n);
         buf.iter().map(|c| c.norm_sqr() as f64).collect()
-    }
-
-    /// [`FftEngine::power_spectrum_padded`] into reused buffers: `buf`
-    /// holds the padded transform, `out` the per-bin power. Allocation-free
-    /// once warm; bit-identical output.
-    pub fn power_spectrum_padded_into(
-        &self,
-        x: &[Cf32],
-        n: usize,
-        buf: &mut Vec<Cf32>,
-        out: &mut Vec<f64>,
-    ) {
-        self.forward_padded_into(x, n, buf);
-        out.clear();
-        out.extend(buf.iter().map(|c| c.norm_sqr() as f64));
     }
 }
 
@@ -263,16 +251,12 @@ mod tests {
         // buffers deliberately left dirty between calls.
         let eng = FftEngine::new();
         let mut buf = vec![Cf32::new(9.0, -9.0); 7];
-        let mut out = vec![f64::NAN; 3];
         for n in [256usize, 1024, 100, 240] {
             let x = tone(60, 8.25);
             let fresh_c = eng.forward_padded(&x, n);
-            let fresh_p = eng.power_spectrum_padded(&x, n);
             for _ in 0..2 {
                 eng.forward_padded_into(&x, n, &mut buf);
                 assert_eq!(buf, fresh_c, "complex mismatch at n={n}");
-                eng.power_spectrum_padded_into(&x, n, &mut buf, &mut out);
-                assert_eq!(out, fresh_p, "power mismatch at n={n}");
             }
         }
     }
@@ -282,13 +266,10 @@ mod tests {
         // Switching between lengths must stay correct (buffers resize).
         let eng = FftEngine::new();
         let mut buf = Vec::new();
-        let mut out = Vec::new();
         let x = tone(64, 8.0);
-        eng.power_spectrum_padded_into(&x, 256, &mut buf, &mut out);
-        assert_eq!(out, eng.power_spectrum_padded(&x, 256));
-        eng.power_spectrum_padded_into(&x, 64, &mut buf, &mut out);
-        assert_eq!(out, eng.power_spectrum_padded(&x, 64));
-        eng.power_spectrum_padded_into(&x, 240, &mut buf, &mut out);
-        assert_eq!(out, eng.power_spectrum_padded(&x, 240));
+        for n in [256usize, 64, 240] {
+            eng.forward_padded_into(&x, n, &mut buf);
+            assert_eq!(buf, eng.forward_padded(&x, n), "mismatch at n={n}");
+        }
     }
 }

@@ -66,19 +66,6 @@ pub fn intersect_normalized(spectra: &[Spectrum]) -> Option<Spectrum> {
     Some(acc)
 }
 
-/// Intersection of many spectra without normalisation — correct when all
-/// windows have the same length (e.g. SED's sliding half-symbol windows),
-/// where normalising would instead *introduce* scale differences driven by
-/// how much interferer energy each window happens to contain.
-pub fn intersect_raw(spectra: &[Spectrum]) -> Option<Spectrum> {
-    let mut iter = spectra.iter();
-    let mut acc = iter.next()?.clone();
-    for s in iter {
-        spectral_intersection_into(&mut acc, s);
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,6 @@
 //!   spectra that is the heart of CIC (paper §5.2),
 //! * [`peaks`] — peak detection and fractional peak interpolation,
 //! * [`window`] — rectangular sub-symbol windowing (paper Eqn 7/11),
-//! * [`correlate`] — sliding cross-correlation used by preamble detection,
 //! * [`channelizer`] — streaming wideband → per-channel splitter (NCO mix,
 //!   low-pass FIR, decimation) feeding the multi-channel gateway; planar
 //!   autovectorised hot path with a scalar reference module and an
@@ -25,7 +24,6 @@
 //! approximation of set intersection over constituent frequencies.
 
 pub mod channelizer;
-pub mod correlate;
 pub mod fft;
 pub mod intersect;
 pub mod math;
@@ -36,7 +34,7 @@ pub mod window;
 pub use channelizer::{Channelizer, ChannelizerConfig, ChannelizerError};
 pub use fft::FftEngine;
 pub use intersect::{spectral_intersection, spectral_intersection_into};
-pub use peaks::{find_peaks, max_peak, Peak};
+pub use peaks::{find_peaks, Peak};
 pub use spectrum::Spectrum;
 
 /// Complex sample type used across the workspace.

@@ -2,31 +2,9 @@
 
 use crate::Cf32;
 
-/// Normalised sinc: `sinc(0) = 1`, zeros at non-zero integers.
-///
-/// This is the main-lobe shape of a rectangular-windowed tone (paper Eqn 4):
-/// a symbol de-chirped over a window of `T` seconds produces
-/// `sinc(T (f - f_phi))` in the spectrum.
-pub fn sinc(x: f64) -> f64 {
-    if x.abs() < 1e-12 {
-        1.0
-    } else {
-        let px = std::f64::consts::PI * x;
-        px.sin() / px
-    }
-}
-
 /// Total energy of a complex signal, `sum |x|^2`.
 pub fn energy(x: &[Cf32]) -> f64 {
     x.iter().map(|c| c.norm_sqr() as f64).sum()
-}
-
-/// Root-mean-square magnitude of a complex signal.
-pub fn rms(x: &[Cf32]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    (energy(x) / x.len() as f64).sqrt()
 }
 
 /// Linear power ratio to decibels. Clamps at -300 dB for zero input.
@@ -41,11 +19,6 @@ pub fn db(p: f64) -> f64 {
 /// Decibels to linear power ratio.
 pub fn from_db(d: f64) -> f64 {
     10f64.powf(d / 10.0)
-}
-
-/// Amplitude (voltage) ratio corresponding to a power ratio in dB.
-pub fn amplitude_from_db(d: f64) -> f64 {
-    10f64.powf(d / 20.0)
 }
 
 /// Wrap `x` into `[0, m)`. `m` must be positive.
@@ -70,13 +43,6 @@ pub fn cyclic_distance(a: f64, b: f64, m: f64) -> f64 {
     d
 }
 
-/// In-place scale of a complex signal by a real factor.
-pub fn scale(x: &mut [Cf32], k: f32) {
-    for c in x.iter_mut() {
-        *c *= k;
-    }
-}
-
 /// Element-wise product `a[i] * b[i]` collected into a new vector.
 ///
 /// Panics if lengths differ; callers mix equal-length windows only.
@@ -90,6 +56,22 @@ pub fn multiply_into(a: &[Cf32], b: &[Cf32], out: &mut Vec<Cf32>) {
     assert_eq!(a.len(), b.len(), "multiply_into: length mismatch");
     out.clear();
     out.extend(a.iter().zip(b).map(|(x, y)| x * y));
+}
+
+/// Normalised sinc: `sinc(0) = 1`, zeros at non-zero integers.
+///
+/// This is the main-lobe shape of a rectangular-windowed tone (paper Eqn 4):
+/// a symbol de-chirped over a window of `T` seconds produces
+/// `sinc(T (f - f_phi))` in the spectrum. Test-only: the peak-interpolation
+/// tests synthesise `|sinc|²` spectra with it; no production path calls it.
+#[cfg(test)]
+pub(crate) fn sinc(x: f64) -> f64 {
+    if x.abs() < 1e-12 {
+        1.0
+    } else {
+        let px = std::f64::consts::PI * x;
+        px.sin() / px
+    }
 }
 
 #[cfg(test)]
@@ -123,19 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn rms_of_unit_circle_samples() {
-        let x: Vec<Cf32> = (0..100)
-            .map(|i| Cf32::from_polar(1.0, i as f32 * 0.1))
-            .collect();
-        assert!((rms(&x) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn rms_empty_is_zero() {
-        assert_eq!(rms(&[]), 0.0);
-    }
-
-    #[test]
     fn db_roundtrip() {
         for d in [-30.0, -3.0, 0.0, 3.0, 20.0] {
             assert!((db(from_db(d)) - d).abs() < 1e-9);
@@ -146,12 +115,6 @@ mod tests {
     fn db_of_zero_clamps() {
         assert_eq!(db(0.0), -300.0);
         assert_eq!(db(-1.0), -300.0);
-    }
-
-    #[test]
-    fn amplitude_db_squares_to_power() {
-        let a = amplitude_from_db(6.0);
-        assert!((db(a * a) - 6.0).abs() < 1e-9);
     }
 
     #[test]

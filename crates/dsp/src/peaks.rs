@@ -95,45 +95,6 @@ pub fn find_peaks_into(
     out.truncate(kept);
 }
 
-/// The single strongest peak, if any bin is a local maximum above zero.
-pub fn max_peak(spec: &Spectrum) -> Option<Peak> {
-    let (bin, power) = spec.argmax()?;
-    if power <= 0.0 {
-        return None;
-    }
-    Some(Peak {
-        bin,
-        power,
-        frac_bin: refine_sinc(spec, bin),
-    })
-}
-
-/// Quadratic (parabolic) interpolation of the true peak position around
-/// bin `i`, using the cyclic neighbours. Returns a fractional bin in
-/// `[0, n)`.
-///
-/// For a sinc-shaped main lobe sampled near its apex this recovers the
-/// sub-bin frequency to a few hundredths of a bin — enough for the
-/// fractional-CFO feature filter (paper §5.7).
-pub fn refine_quadratic(spec: &Spectrum, i: usize) -> f64 {
-    let n = spec.len();
-    if n < 3 {
-        return i as f64;
-    }
-    let ym = spec[(i + n - 1) % n];
-    let y0 = spec[i];
-    let yp = spec[(i + 1) % n];
-    let denom = ym - 2.0 * y0 + yp;
-    let delta = if denom.abs() < 1e-30 {
-        0.0
-    } else {
-        0.5 * (ym - yp) / denom
-    };
-    // A local max constrains delta to (-1, 1); clamp against noise freaks.
-    let delta = delta.clamp(-0.5, 0.5);
-    crate::math::wrap(i as f64 + delta, n as f64)
-}
-
 /// Sub-bin peak refinement for **rectangular-window tones** (every LoRa
 /// de-chirped window is one): exact amplitude-ratio estimator.
 ///
@@ -251,37 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_refinement_recovers_offset() {
-        // Sample a parabola peaking at 10.3.
-        let n = 32usize;
-        let v: Vec<f64> = (0..n)
-            .map(|i| {
-                let d = i as f64 - 10.3;
-                (10.0 - d * d).max(0.0)
-            })
-            .collect();
-        let f = refine_quadratic(&sp(&v), 10);
-        assert!((f - 10.3).abs() < 1e-9, "got {f}");
-    }
-
-    #[test]
-    fn quadratic_refinement_wraps() {
-        // Peak near bin 0 with the true apex slightly negative (i.e. ~n-0.2).
-        let n = 32usize;
-        let v: Vec<f64> = (0..n)
-            .map(|i| {
-                let mut d = i as f64 + 0.2;
-                if d > n as f64 / 2.0 {
-                    d -= n as f64;
-                }
-                (10.0 - d * d).max(0.0)
-            })
-            .collect();
-        let f = refine_quadratic(&sp(&v), 0);
-        assert!((f - (n as f64 - 0.2)).abs() < 1e-6, "got {f}");
-    }
-
-    #[test]
     fn sinc_estimator_exact_on_rect_tone_powers() {
         // Sample |sinc|^2 of a rectangular-window tone at bin 10 + delta;
         // the amplitude-ratio estimator must recover delta exactly.
@@ -329,21 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_underestimates_large_sinc_offsets() {
-        // Documents why refine_sinc exists: parabolic interpolation on a
-        // |sinc|^2 peak at +0.41 bins estimates well under +0.2.
-        let n = 64usize;
-        let v: Vec<f64> = (0..n)
-            .map(|k| {
-                let s = crate::math::sinc(k as f64 - 10.41);
-                s * s
-            })
-            .collect();
-        let est = refine_quadratic(&Spectrum::from_power(v), 10) - 10.0;
-        assert!(est < 0.2, "quadratic est {est} (true 0.41)");
-    }
-
-    #[test]
     fn find_peaks_into_matches_wrapper_with_dirty_buffers() {
         let mut v = vec![0.2; 48];
         v[3] = 4.0;
@@ -366,11 +281,6 @@ mod tests {
             find_peaks_into(&spec, 3.0, sep, &mut scratch, &mut out);
             assert_eq!(out, want, "sep={sep}");
         }
-    }
-
-    #[test]
-    fn max_peak_none_for_zero_spectrum() {
-        assert!(max_peak(&sp(&[0.0; 8])).is_none());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! (`s` and `2^SF * (os-1) + s`); [`Spectrum::folded`] adds those together
 //! so that downstream logic always sees the `2^SF`-bin grid.
 
-use crate::math;
-
 /// A non-negative power spectrum on a fixed bin grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum {
@@ -54,75 +52,6 @@ impl Spectrum {
         Self { bins }
     }
 
-    /// [`Spectrum::folded`] into a reused spectrum: `out` is overwritten
-    /// with the folded bins. Allocation-free once `out` has capacity;
-    /// bit-identical to the allocating variant.
-    pub fn folded_into(raw: &[f64], n_bins: usize, os: usize, out: &mut Spectrum) {
-        assert!(os >= 1, "oversampling factor must be >= 1");
-        assert_eq!(
-            raw.len(),
-            n_bins * os,
-            "raw spectrum length {} != n_bins {} * os {}",
-            raw.len(),
-            n_bins,
-            os
-        );
-        out.bins.clear();
-        if os == 1 {
-            // Mirror `from_power`'s negative clamp.
-            out.bins
-                .extend(raw.iter().map(|&b| if b < 0.0 { 0.0 } else { b }));
-            return;
-        }
-        let hi = n_bins * (os - 1);
-        out.bins.extend((0..n_bins).map(|k| raw[k] + raw[hi + k]));
-    }
-
-    /// [`Spectrum::folded_amplitude`] into a reused spectrum. Same
-    /// contract as [`Spectrum::folded_into`].
-    pub fn folded_amplitude_into(raw: &[f64], n_bins: usize, os: usize, out: &mut Spectrum) {
-        assert!(os >= 1, "oversampling factor must be >= 1");
-        assert_eq!(
-            raw.len(),
-            n_bins * os,
-            "raw spectrum length {} != n_bins {} * os {}",
-            raw.len(),
-            n_bins,
-            os
-        );
-        out.bins.clear();
-        if os == 1 {
-            out.bins.extend(raw.iter().map(|p| p.max(0.0).sqrt()));
-            return;
-        }
-        let hi = n_bins * (os - 1);
-        out.bins
-            .extend((0..n_bins).map(|k| raw[k].max(0.0).sqrt() + raw[hi + k].max(0.0).sqrt()));
-    }
-
-    /// Fold a raw power FFT by summing **every** alias segment: bin `k`
-    /// gets `Σ_a raw[a·n_bins + k]` for `a < os`.
-    ///
-    /// [`Spectrum::folded`] sums only the first and last segment, which is
-    /// exact for the `2^SF·os`-point symbol grid (a de-chirped tone aliases
-    /// into exactly those two). On a *zoomed* grid (fractional-CFO
-    /// estimation) the tone's segment index depends on its frequency, so
-    /// all `os` segments must be accumulated.
-    pub fn folded_all_into(raw: &[f64], n_bins: usize, os: usize, out: &mut Spectrum) {
-        assert!(os >= 1, "oversampling factor must be >= 1");
-        assert_eq!(
-            raw.len(),
-            n_bins * os,
-            "raw spectrum length {} != n_bins {} * os {}",
-            raw.len(),
-            n_bins,
-            os
-        );
-        out.bins.clear();
-        out.bins
-            .extend((0..n_bins).map(|k| (0..os).map(|a| raw[a * n_bins + k]).sum::<f64>()));
-    }
-
     /// Build an **amplitude-folded** spectrum from a raw power FFT: bin
     /// `k` gets `sqrt(raw[k]) + sqrt(raw[n_bins*(os-1)+k])`.
     ///
@@ -155,7 +84,7 @@ impl Spectrum {
     /// Power-fold an already-transformed padded complex buffer directly:
     /// bin `k` gets `|X[k]|² + |X[n_bins·(os−1)+k]|²` without
     /// materialising the raw power vector first. Bit-identical to
-    /// `Spectrum::folded_into` over `|X|²` (same two `f64` terms, added in
+    /// [`Spectrum::folded`] over `|X|²` (same two `f64` terms, added in
     /// the same order) — the raw vector write/read is pure memory traffic
     /// on the hot path.
     pub fn folded_from_complex(buf: &[crate::Cf32], n_bins: usize, os: usize, out: &mut Spectrum) {
@@ -188,7 +117,7 @@ impl Spectrum {
     }
 
     /// Amplitude-fold an already-transformed padded complex buffer:
-    /// [`Spectrum::folded_amplitude_into`] without the raw power vector.
+    /// [`Spectrum::folded_amplitude`] without the raw power vector.
     pub fn folded_amplitude_from_complex(
         buf: &[crate::Cf32],
         n_bins: usize,
@@ -242,12 +171,12 @@ impl Spectrum {
     }
 
     /// Per-bin power values.
-    pub fn bins(&self) -> &[f64] {
+    pub(crate) fn bins(&self) -> &[f64] {
         &self.bins
     }
 
     /// Mutable access to per-bin power values.
-    pub fn bins_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn bins_mut(&mut self) -> &mut [f64] {
         &mut self.bins
     }
 
@@ -286,21 +215,6 @@ impl Spectrum {
             .copied()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Power of bin `k` in dB (relative to 1.0).
-    pub fn bin_db(&self, k: usize) -> f64 {
-        math::db(self.bins[k])
-    }
-
-    /// Mean power over all bins — a crude noise-floor proxy for a spectrum
-    /// dominated by noise plus a few narrow peaks.
-    pub fn mean_power(&self) -> f64 {
-        if self.bins.is_empty() {
-            0.0
-        } else {
-            self.total_energy() / self.bins.len() as f64
-        }
     }
 
     /// Median bin power: a robust noise-floor estimate that a handful of
@@ -430,34 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn folded_into_matches_allocating_variants() {
-        let raw: Vec<f64> = (0..16)
-            .map(|i| (i as f64 * 0.7).sin().abs() * 3.0)
-            .collect();
-        let mut out = Spectrum::from_power(vec![42.0; 2]);
-        Spectrum::folded_into(&raw, 4, 4, &mut out);
-        assert_eq!(out, Spectrum::folded(&raw, 4, 4));
-        Spectrum::folded_amplitude_into(&raw, 4, 4, &mut out);
-        assert_eq!(out, Spectrum::folded_amplitude(&raw, 4, 4));
-        Spectrum::folded_into(&raw, 16, 1, &mut out);
-        assert_eq!(out, Spectrum::folded(&raw, 16, 1));
-        Spectrum::folded_amplitude_into(&raw, 16, 1, &mut out);
-        assert_eq!(out, Spectrum::folded_amplitude(&raw, 16, 1));
-    }
-
-    #[test]
-    fn folded_all_sums_every_alias_segment() {
-        // n_bins = 2, os = 3: result[k] = raw[k] + raw[2+k] + raw[4+k].
-        let raw = vec![1.0, 2.0, 10.0, 20.0, 100.0, 200.0];
-        let mut out = Spectrum::from_power(vec![]);
-        Spectrum::folded_all_into(&raw, 2, 3, &mut out);
-        assert_eq!(out.bins(), &[111.0, 222.0]);
-        // os = 1 is the identity.
-        Spectrum::folded_all_into(&raw, 6, 1, &mut out);
-        assert_eq!(out.bins(), &raw[..]);
-    }
-
-    #[test]
     fn copy_from_and_reset_zero_reuse() {
         let src = Spectrum::from_power(vec![1.0, 2.0, 3.0]);
         let mut dst = Spectrum::from_power(vec![9.0; 8]);
@@ -501,6 +387,5 @@ mod tests {
         bins[50] = 1e9;
         let s = Spectrum::from_power(bins);
         assert!((s.median_power() - 1.0).abs() < 1e-12);
-        assert!(s.mean_power() > 1e6);
     }
 }

@@ -36,7 +36,7 @@ impl SampleRange {
     }
 
     /// Clamp the range to fit within a signal of `n` samples.
-    pub fn clamp_to(&self, n: usize) -> Self {
+    pub(crate) fn clamp_to(&self, n: usize) -> Self {
         let start = self.start.min(n);
         let end = self.end.min(n).max(start);
         Self { start, end }
@@ -47,17 +47,6 @@ impl SampleRange {
         let c = self.clamp_to(signal.len());
         &signal[c.start..c.end]
     }
-}
-
-/// Apply a rectangular window: copy `range` of `signal` into a zeroed
-/// buffer of the same length as `signal` (the textbook `r(t)·W(t)` form).
-/// Most callers should prefer [`SampleRange::slice`] + zero-padded FFT,
-/// which is equivalent for spectra and cheaper.
-pub fn rect_window(signal: &[Cf32], range: SampleRange) -> Vec<Cf32> {
-    let mut out = vec![Cf32::new(0.0, 0.0); signal.len()];
-    let c = range.clamp_to(signal.len());
-    out[c.start..c.end].copy_from_slice(&signal[c.start..c.end]);
-    out
 }
 
 #[cfg(test)]
@@ -94,22 +83,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s[0].re, 2.0);
         assert_eq!(s[2].re, 4.0);
-    }
-
-    #[test]
-    fn rect_window_zeroes_outside() {
-        let sig = vec![Cf32::new(1.0, 0.0); 6];
-        let w = rect_window(&sig, SampleRange::new(2, 4));
-        let pattern: Vec<f32> = w.iter().map(|c| c.re).collect();
-        assert_eq!(pattern, vec![0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn rect_window_and_slice_have_same_energy() {
-        let sig: Vec<Cf32> = (0..16).map(|i| Cf32::from_polar(1.0, i as f32)).collect();
-        let r = SampleRange::new(3, 11);
-        let e1 = crate::math::energy(&rect_window(&sig, r));
-        let e2 = crate::math::energy(r.slice(&sig));
-        assert!((e1 - e2).abs() < 1e-6);
     }
 }

@@ -27,7 +27,7 @@
 //!   extra copies, and counts them apart from each shard's in-gateway
 //!   suppressions because it knows which shard reported each packet.
 //! * **Telemetry aggregation** — [`ClusterSnapshot`] carries each
-//!   shard's [`GatewaySnapshot`] plus their [`GatewaySnapshot::merged`]
+//!   shard's [`GatewaySnapshot`] plus their `GatewaySnapshot::merged`
 //!   aggregate and the sink's cross-shard counters.
 //!
 //! Shards run inline: `push` channelizes the chunk into each shard in
@@ -157,7 +157,7 @@ impl ClusterConfig {
     /// restricted to the shard's channel offsets (same wideband rate,
     /// decimation and FIR prototype, so per-channel output is
     /// bit-identical to the wide gateway's) and its SF set.
-    pub fn shard_config(&self, idx: usize) -> GatewayConfig {
+    pub(crate) fn shard_config(&self, idx: usize) -> GatewayConfig {
         let plan = &self.shards[idx];
         let mut channelizer = self.base.channelizer.clone();
         channelizer.offsets_hz = plan
@@ -174,7 +174,7 @@ impl ClusterConfig {
 
     /// Check the shard layout and every derived shard configuration up
     /// front, naming the offending shard and parameter.
-    pub fn validate(&self) -> Result<(), ClusterError> {
+    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
         if self.shards.is_empty() {
             return Err(ClusterError::NoShards);
         }
@@ -211,7 +211,7 @@ impl ClusterConfig {
 pub struct ClusterSnapshot {
     /// Each shard's own snapshot, in shard order.
     pub shards: Vec<GatewaySnapshot>,
-    /// The shard snapshots aggregated ([`GatewaySnapshot::merged`]).
+    /// The shard snapshots aggregated (`GatewaySnapshot::merged`).
     pub merged: GatewaySnapshot,
     /// Packets a shard released that another shard had released under
     /// overlapping coverage (distinct from each shard's in-gateway
@@ -256,11 +256,6 @@ impl GatewayCluster {
     /// inline.
     pub fn new_threaded(config: ClusterConfig) -> Result<Self, ClusterError> {
         Self::new(config)
-    }
-
-    /// Number of shard gateways.
-    pub fn n_shards(&self) -> usize {
-        self.runtime.shards().len()
     }
 
     /// The threads serving every shard, for tests that count them.
@@ -426,7 +421,7 @@ mod tests {
     fn empty_cluster_stream_finishes_cleanly() {
         let cluster =
             GatewayCluster::new(ClusterConfig::channel_sharded(base(), 2)).expect("valid layout");
-        assert_eq!(cluster.n_shards(), 2);
+        assert_eq!(cluster.runtime.shards().len(), 2);
         let (packets, snap) = cluster.finish();
         assert!(packets.is_empty());
         assert_eq!(snap.shards.len(), 2);

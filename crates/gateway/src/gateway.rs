@@ -114,7 +114,7 @@ pub struct GatewayConfig {
 }
 
 /// Typed rejection of an invalid [`GatewayConfig`], raised by
-/// [`GatewayConfig::validate`] (and therefore by [`Gateway::new`]) before
+/// `GatewayConfig::validate` (and therefore by [`Gateway::new`]) before
 /// any thread is spawned — instead of an `expect` deep inside a worker
 /// constructor.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,7 +191,7 @@ impl GatewayConfig {
     ///
     /// # Panics
     /// If the configuration is invalid at `sf` — run
-    /// [`GatewayConfig::validate`] first ([`Gateway::new`] does).
+    /// `GatewayConfig::validate` first ([`Gateway::new`] does).
     pub fn channel_params(&self, sf: u8) -> LoraParams {
         self.try_channel_params(sf)
             .expect("gateway config holds valid parameters")
@@ -199,7 +199,7 @@ impl GatewayConfig {
 
     /// LoRa parameters of one channel stream at `sf`, or the typed
     /// validation error naming the offending parameters.
-    pub fn try_channel_params(&self, sf: u8) -> Result<LoraParams, ConfigError> {
+    pub(crate) fn try_channel_params(&self, sf: u8) -> Result<LoraParams, ConfigError> {
         let bw = self.channelizer.channel_rate_hz() / self.oversampling as f64;
         LoraParams::new(sf, bw, self.oversampling).map_err(|source| {
             ConfigError::InvalidChannelParams {
@@ -216,7 +216,7 @@ impl GatewayConfig {
     /// factor set, queue sizing, the derived per-channel LoRa
     /// parameters at every configured spreading factor, and the
     /// channelizer's filter design and decimation.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.channelizer.n_channels() == 0 {
             return Err(ConfigError::NoChannels);
         }
@@ -847,8 +847,8 @@ impl Shard {
 /// A running multi-channel gateway: a runtime (decode pool, sink) with
 /// one front end (channelizer, stream queues, overload ladder) of its
 /// own. Feed wideband samples with [`Gateway::push`] (any chunk sizes),
-/// collect merged packets with [`Gateway::poll_packets`] or all at once
-/// from [`Gateway::finish`].
+/// collect merged packets as they release through [`Gateway::subscribe`]
+/// or all at once from [`Gateway::finish`].
 ///
 /// Dropped without [`Gateway::finish`], a gateway stops its threads
 /// without draining the backlog: nothing is flushed and no thread
@@ -888,20 +888,15 @@ impl Gateway {
         self.runtime.push(samples);
     }
 
-    /// Packets released by the sink since the last call, time-ordered.
-    pub fn poll_packets(&self) -> Vec<GatewayPacket> {
-        self.runtime.poll_packets()
-    }
-
     /// Attach the gateway's single non-blocking packet subscription:
     /// released packets are forwarded into an unbounded channel the
     /// moment the sink releases them, so consumers block on `recv`
-    /// instead of spinning on [`Gateway::poll_packets`]. Delivery
+    /// instead of polling. Delivery
     /// preserves the sink's release order (non-decreasing
     /// `start_wideband`, modulo late SIC-recovered packets). A consumer
     /// that falls behind costs memory in the channel, never a lost
     /// packet or a blocked worker; while the subscription is attached,
-    /// [`Gateway::poll_packets`] and [`Gateway::finish`] return nothing.
+    /// [`Gateway::finish`] returns no packets.
     /// `capacity` is unused: the channel allocates only as packets
     /// arrive. Panics if a subscription is already attached.
     pub fn subscribe(&self, capacity: usize) -> Receiver<GatewayPacket> {
@@ -913,20 +908,12 @@ impl Gateway {
         self.runtime.shards[0].stats()
     }
 
-    /// The sink's current release horizon, wideband samples: this
-    /// gateway's released stream is complete below it. A cluster's
-    /// global watermark is the same horizon, over every shard's streams.
-    pub fn release_horizon(&self) -> u64 {
-        self.runtime.release_horizon()
-    }
-
     /// End of stream: restore every worker to full effort so the drain
     /// decodes the backlog instead of shedding it, flush the channelizer's group-delay tail to the workers (a
     /// packet ending at capture end keeps its final symbols), close all
     /// queues, wait for the pool to drain and flush every stream and
-    /// join it, and return the remaining merged packets (everything since
-    /// the last [`Gateway::poll_packets`] call) plus a final telemetry
-    /// snapshot.
+    /// join it, and return the merged packets no subscription took plus a
+    /// final telemetry snapshot.
     pub fn finish(mut self) -> (Vec<GatewayPacket>, GatewaySnapshot) {
         let packets = self.runtime.finish();
         (packets, self.runtime.shards[0].stats.snapshot())
@@ -1236,7 +1223,7 @@ mod tests {
         let delay = gw.runtime.shards[0].channelizer.group_delay_wideband() as u64;
         let caught_up = idle_len as u64 * plan.decimation as u64 - delay;
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
-        while gw.release_horizon() < caught_up {
+        while gw.runtime.release_horizon() < caught_up {
             assert!(
                 Instant::now() < deadline,
                 "idle stream never published its caught-up watermark"

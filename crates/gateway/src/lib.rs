@@ -36,12 +36,9 @@ pub mod stats;
 
 pub use cluster::{ClusterConfig, ClusterError, ClusterSnapshot, GatewayCluster, ShardPlan};
 pub use gateway::{ConfigError, Gateway, GatewayConfig};
-pub use load::{
-    ControlAction, LoadMonitor, OverloadConfig, OverloadController, OverloadPolicy, SHED_RUNG,
-    SIC_RUNG,
-};
+pub use load::{OverloadConfig, OverloadPolicy, SIC_RUNG};
 pub use sink::GatewayPacket;
 pub use stats::{
     rung_slot, GatewaySnapshot, GatewayStats, HistogramSnapshot, LatencyHistogram,
-    LatencyPercentiles, WorkerStats, RUNG_SLOTS,
+    LatencyPercentiles, WorkerStats,
 };

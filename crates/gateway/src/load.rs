@@ -15,7 +15,7 @@
 //!    load per unit decode cost), and the loss is *clean*: other SFs
 //!    keep decoding every sample instead of everyone losing random gaps.
 //!
-//! [`OverloadController`] walks this ladder. A [`LoadMonitor`] smooths
+//! `OverloadController` walks this ladder. A `LoadMonitor` smooths
 //! per-worker queue occupancy (depth ÷ capacity) and decode-latency
 //! EWMAs; sustained high occupancy first lowers the overloaded workers'
 //! effort rung by rung, then sheds whole SF worker groups (highest SF
@@ -25,7 +25,7 @@
 //! reset dwell after every transition) so the ladder cannot flap.
 //!
 //! The controller is deliberately pure state-machine: feed it queue
-//! depths, get [`ControlAction`]s back. The gateway ticks it on the
+//! depths, get `ControlAction`s back. The gateway ticks it on the
 //! pushing thread: before dispatching a push, it runs one tick per whole
 //! [`OverloadConfig::tick`] since the previous ticks, all on each
 //! worker's mean queue depth over that time, so dwells counted in ticks
@@ -38,13 +38,13 @@ use std::time::Duration;
 /// Effort rung meaning "worker is shed": the worker discards its chunks
 /// (counted) instead of decoding them. Distinct from every effort rung
 /// [`cic::CicConfig::effort_rung`] understands.
-pub const SHED_RUNG: usize = usize::MAX;
+pub(crate) const SHED_RUNG: usize = usize::MAX;
 
 /// Boost rung *above* full effort: the worker runs the full-effort CIC
 /// configuration plus the SIC residual-cancellation stage
 /// ([`cic::sic`]), which multiplies decode cost per chunk. The ladder
 /// orders it strictly above rung 0 — a worker is only promoted here by a
-/// recovery step of an [`OverloadController`] built with `sic_boost`
+/// recovery step of an `OverloadController` built with `sic_boost`
 /// (the gateway sets it when its base CIC configuration has a SIC stage)
 /// after the whole gateway has been cool for a sustained period, and it
 /// is the first thing given back when the worker runs hot. Distinct from
@@ -129,7 +129,7 @@ impl OverloadConfig {
 
 /// Smoothed per-worker load signals: queue occupancy EWMAs plus the
 /// hot/cool streak counters the hysteresis is built on.
-pub struct LoadMonitor {
+pub(crate) struct LoadMonitor {
     alpha: f64,
     high: f64,
     low: f64,
@@ -140,7 +140,7 @@ pub struct LoadMonitor {
 
 impl LoadMonitor {
     /// A monitor for `n_workers` workers.
-    pub fn new(n_workers: usize, alpha: f64, high: f64, low: f64) -> Self {
+    pub(crate) fn new(n_workers: usize, alpha: f64, high: f64, low: f64) -> Self {
         Self {
             alpha,
             high,
@@ -151,18 +151,18 @@ impl LoadMonitor {
         }
     }
 
-    /// Fold one depth sample (chunks, against `capacity`) into worker
-    /// `idx`'s occupancy EWMA and update its streaks.
-    pub fn observe(&mut self, idx: usize, depth: u64, capacity: usize) {
-        self.observe_signal(idx, depth, capacity, 0.0);
-    }
-
     /// Fold one load sample combining queue occupancy with an auxiliary
     /// pressure term in [0, 1] (the controller feeds the decode-latency
     /// ratio here): the worker's per-tick sample is the *max* of the
     /// two, so either a deep queue or slow decodes can make it hot, and
     /// recovery requires both to subside.
-    pub fn observe_signal(&mut self, idx: usize, depth: u64, capacity: usize, pressure: f64) {
+    pub(crate) fn observe_signal(
+        &mut self,
+        idx: usize,
+        depth: u64,
+        capacity: usize,
+        pressure: f64,
+    ) {
         let occ = (depth as f64 / capacity.max(1) as f64)
             .max(pressure.clamp(0.0, 1.0))
             .min(1.0);
@@ -180,25 +180,20 @@ impl LoadMonitor {
         }
     }
 
-    /// Current occupancy EWMA of worker `idx`, in [0, 1].
-    pub fn occupancy(&self, idx: usize) -> f64 {
-        self.occupancy[idx]
-    }
-
     /// Consecutive ticks worker `idx` has been at or above the high
     /// occupancy threshold.
-    pub fn hot_streak(&self, idx: usize) -> u32 {
+    pub(crate) fn hot_streak(&self, idx: usize) -> u32 {
         self.hot_streak[idx]
     }
 
     /// Consecutive ticks worker `idx` has been at or below the low
     /// occupancy threshold.
-    pub fn cool_streak(&self, idx: usize) -> u32 {
+    pub(crate) fn cool_streak(&self, idx: usize) -> u32 {
         self.cool_streak[idx]
     }
 
     /// Zero worker `idx`'s streaks (dwell after a ladder transition).
-    pub fn reset_streaks(&mut self, idx: usize) {
+    pub(crate) fn reset_streaks(&mut self, idx: usize) {
         self.hot_streak[idx] = 0;
         self.cool_streak[idx] = 0;
     }
@@ -206,7 +201,7 @@ impl LoadMonitor {
 
 /// One transition the controller wants applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlAction {
+pub(crate) enum ControlAction {
     /// Set a worker's effort rung (`0..=cic::CicConfig::MAX_EFFORT_RUNG`).
     /// `degrade` is true when this is a downward step.
     SetRung {
@@ -235,7 +230,7 @@ pub enum ControlAction {
 }
 
 /// The degradation-ladder state machine. See the module docs.
-pub struct OverloadController {
+pub(crate) struct OverloadController {
     cfg: OverloadConfig,
     monitor: LoadMonitor,
     /// Spreading factor of each worker.
@@ -254,7 +249,7 @@ impl OverloadController {
     /// `sic_boost`, recovery steps promote fully recovered workers
     /// (rung 0) to the [`SIC_RUNG`] boost rung, spending spare headroom
     /// on the SIC residual stage.
-    pub fn new(cfg: OverloadConfig, worker_sfs: &[u8], sic_boost: bool) -> Self {
+    pub(crate) fn new(cfg: OverloadConfig, worker_sfs: &[u8], sic_boost: bool) -> Self {
         let monitor = LoadMonitor::new(
             worker_sfs.len(),
             cfg.ewma_alpha,
@@ -272,13 +267,8 @@ impl OverloadController {
         }
     }
 
-    /// Effort rung currently assigned to `worker` ([`SHED_RUNG`] = shed).
-    pub fn rung(&self, worker: usize) -> usize {
-        self.rungs[worker]
-    }
-
     /// Spreading factors currently being decoded (not shed).
-    pub fn active_sfs(&self) -> Vec<u8> {
+    pub(crate) fn active_sfs(&self) -> Vec<u8> {
         let mut sfs: Vec<u8> = self
             .sfs
             .iter()
@@ -290,32 +280,22 @@ impl OverloadController {
         sfs
     }
 
-    /// The load monitor (for gauges/tests).
-    pub fn monitor(&self) -> &LoadMonitor {
-        &self.monitor
-    }
-
     fn workers_of(&self, sf: u8) -> Vec<usize> {
         (0..self.sfs.len()).filter(|&w| self.sfs[w] == sf).collect()
     }
 
     /// One control tick: fold in the current per-worker queue depths and
-    /// return the transitions to apply. At most one ladder *kind* fires
-    /// per tick (escalations, then a shed, then a recovery step), and
-    /// every transition zeroes the affected workers' streaks so the next
-    /// move needs a fresh sustained signal.
-    pub fn tick(&mut self, depths: &[u64], capacity: usize) -> Vec<ControlAction> {
-        self.tick_with_decode(depths, &[], capacity)
-    }
-
-    /// [`Self::tick`] with the per-worker decode-latency EWMAs (ns)
-    /// folded into the hot signal: each worker's load sample is
-    /// `max(occupancy, decode_ewma / hot_decode)`, so a worker drowning
+    /// decode-latency EWMAs (ns) and return the transitions to apply. At
+    /// most one ladder *kind* fires per tick (escalations, then a shed,
+    /// then a recovery step), and every transition zeroes the affected
+    /// workers' streaks so the next move needs a fresh sustained signal.
+    /// Each worker's load sample is `max(occupancy, decode_ewma /
+    /// hot_decode)`, so a worker drowning
     /// in slow decodes escalates even while its queue reads shallow, and
     /// a deep-but-fast worker is judged exactly as before — its queue
     /// occupancy already tells the whole story. Pass an empty slice (or
     /// zeros) to fall back to occupancy only.
-    pub fn tick_with_decode(
+    pub(crate) fn tick_with_decode(
         &mut self,
         depths: &[u64],
         decode_ewma_ns: &[u64],
@@ -465,7 +445,7 @@ mod tests {
     ) -> Vec<ControlAction> {
         let mut all = Vec::new();
         for _ in 0..n {
-            all.extend(c.tick(depths, cap));
+            all.extend(c.tick_with_decode(depths, &[], cap));
         }
         all
     }
@@ -475,7 +455,7 @@ mod tests {
         let mut c = OverloadController::new(cfg(), &sfs(), false);
         assert!(tick_n(&mut c, &[0, 0, 0, 0], 8, 100).is_empty());
         assert_eq!(c.active_sfs(), vec![7, 9]);
-        assert!((0..4).all(|w| c.rung(w) == 0));
+        assert!((0..4).all(|w| c.rungs[w] == 0));
     }
 
     #[test]
@@ -514,7 +494,7 @@ mod tests {
             other => panic!("expected shed, got {other:?}"),
         }
         assert_eq!(c.active_sfs(), vec![7]);
-        assert_eq!(c.rung(1), SHED_RUNG);
+        assert_eq!(c.rungs[1], SHED_RUNG);
         // min_active_sfs = 1: SF7 must never be shed, however hot.
         let a = tick_n(&mut c, &full, 8, 50);
         assert!(a.iter().all(|x| !matches!(x, ControlAction::Shed { .. })));
@@ -536,7 +516,7 @@ mod tests {
             }
             other => panic!("expected restore, got {other:?}"),
         }
-        assert_eq!(c.rung(1), cic::CicConfig::MAX_EFFORT_RUNG);
+        assert_eq!(c.rungs[1], cic::CicConfig::MAX_EFFORT_RUNG);
         // …then effort climbs back one rung per cool period, all the way
         // to full effort for everyone.
         let a = tick_n(&mut c, &[0, 0, 0, 0], 8, 20);
@@ -544,9 +524,9 @@ mod tests {
             .iter()
             .all(|x| matches!(x, ControlAction::SetRung { degrade: false, .. })));
         assert!(
-            (0..4).all(|w| c.rung(w) == 0),
+            (0..4).all(|w| c.rungs[w] == 0),
             "rungs: {:?}",
-            (0..4).map(|w| c.rung(w)).collect::<Vec<_>>()
+            (0..4).map(|w| c.rungs[w]).collect::<Vec<_>>()
         );
         assert_eq!(c.active_sfs(), vec![7, 9]);
     }
@@ -564,8 +544,8 @@ mod tests {
             }]
         );
         // The others stay at full effort.
-        assert_eq!(c.rung(1), 0);
-        assert_eq!(c.rung(2), 0);
+        assert_eq!(c.rungs[1], 0);
+        assert_eq!(c.rungs[2], 0);
     }
 
     #[test]
@@ -574,7 +554,7 @@ mod tests {
         // Below the recovery dwell: no promotion yet.
         assert!(tick_n(&mut c, &[0, 0, 0, 0], 8, 3).is_empty());
         // The dwell completes: every rung-0 worker gets the boost.
-        let a = c.tick(&[0, 0, 0, 0], 8);
+        let a = c.tick_with_decode(&[0, 0, 0, 0], &[], 8);
         assert_eq!(a.len(), 4);
         assert!(a.iter().all(|x| matches!(
             x,
@@ -584,7 +564,7 @@ mod tests {
                 ..
             }
         )));
-        assert!((0..4).all(|w| c.rung(w) == SIC_RUNG));
+        assert!((0..4).all(|w| c.rungs[w] == SIC_RUNG));
         // The boost is the top of the ladder: staying cool emits nothing.
         assert!(tick_n(&mut c, &[0, 0, 0, 0], 8, 50).is_empty());
     }
@@ -593,7 +573,7 @@ mod tests {
     fn hot_boosted_worker_drops_sic_before_effort_rungs() {
         let mut c = OverloadController::new(cfg(), &sfs(), true);
         tick_n(&mut c, &[0, 0, 0, 0], 8, 4);
-        assert_eq!(c.rung(0), SIC_RUNG);
+        assert_eq!(c.rungs[0], SIC_RUNG);
         // Worker 0 runs hot: the first downward step lands on plain full
         // effort (rung 0), not an effort-reduction rung.
         let a = tick_n(&mut c, &[8, 0, 0, 0], 8, 2);
@@ -607,7 +587,7 @@ mod tests {
         );
         // The cool workers keep their boost; sustained heat on worker 0
         // then walks the ordinary effort ladder.
-        assert_eq!(c.rung(1), SIC_RUNG);
+        assert_eq!(c.rungs[1], SIC_RUNG);
         let a = tick_n(&mut c, &[8, 0, 0, 0], 8, 2);
         assert_eq!(
             a,
@@ -654,8 +634,8 @@ mod tests {
             .collect();
         hit.sort_unstable();
         assert_eq!(hit, vec![0, 1]);
-        assert_eq!(c.rung(2), 0);
-        assert_eq!(c.rung(3), 0);
+        assert_eq!(c.rungs[2], 0);
+        assert_eq!(c.rungs[3], 0);
         // Recovery stays blocked while decodes remain slow, even with
         // every queue empty: the latency term holds the cool streak off.
         let a = (0..50)
@@ -675,7 +655,7 @@ mod tests {
         assert!(a
             .iter()
             .any(|x| matches!(x, ControlAction::SetRung { degrade: false, .. })));
-        assert!((0..4).all(|w| c.rung(w) == 0));
+        assert!((0..4).all(|w| c.rungs[w] == 0));
     }
 
     #[test]
@@ -683,21 +663,21 @@ mod tests {
         let mut c = OverloadController::new(cfg(), &sfs(), false);
         // Alternating hot/cool never satisfies a 2-tick hot streak.
         for _ in 0..20 {
-            assert!(c.tick(&[8, 8, 8, 8], 8).is_empty());
-            assert!(c.tick(&[0, 0, 0, 0], 8).is_empty());
+            assert!(c.tick_with_decode(&[8, 8, 8, 8], &[], 8).is_empty());
+            assert!(c.tick_with_decode(&[0, 0, 0, 0], &[], 8).is_empty());
         }
-        assert!((0..4).all(|w| c.rung(w) == 0));
+        assert!((0..4).all(|w| c.rungs[w] == 0));
     }
 
     #[test]
     fn monitor_ewma_smooths_and_clamps() {
         let mut m = LoadMonitor::new(1, 0.5, 0.75, 0.25);
-        m.observe(0, 100, 8); // clamped to occupancy 1.0
-        assert!((m.occupancy(0) - 0.5).abs() < 1e-9);
-        m.observe(0, 100, 8);
-        assert!((m.occupancy(0) - 0.75).abs() < 1e-9);
+        m.observe_signal(0, 100, 8, 0.0); // clamped to occupancy 1.0
+        assert!((m.occupancy[0] - 0.5).abs() < 1e-9);
+        m.observe_signal(0, 100, 8, 0.0);
+        assert!((m.occupancy[0] - 0.75).abs() < 1e-9);
         assert_eq!(m.hot_streak(0), 1);
-        m.observe(0, 0, 8);
+        m.observe_signal(0, 0, 8, 0.0);
         assert_eq!(m.hot_streak(0), 0);
     }
 }

@@ -15,9 +15,9 @@ use crate::load::{SHED_RUNG, SIC_RUNG};
 /// Number of ladder-engagement counter slots: one per CIC effort rung
 /// (`0..=MAX_EFFORT_RUNG`), plus the SIC boost rung, plus the shed
 /// pseudo-rung.
-pub const RUNG_SLOTS: usize = cic::CicConfig::MAX_EFFORT_RUNG + 3;
+pub(crate) const RUNG_SLOTS: usize = cic::CicConfig::MAX_EFFORT_RUNG + 3;
 
-/// Map an effort rung (including [`SIC_RUNG`] and [`SHED_RUNG`]) to its
+/// Map an effort rung (including [`SIC_RUNG`] and `SHED_RUNG`) to its
 /// engagement-counter slot: effort rungs occupy `0..=MAX_EFFORT_RUNG`,
 /// then the SIC boost rung, then shed.
 pub fn rung_slot(rung: usize) -> usize {
@@ -31,7 +31,7 @@ pub fn rung_slot(rung: usize) -> usize {
 /// Number of log2 latency buckets: bucket `i` holds durations in
 /// `[2^i, 2^{i+1})` nanoseconds, the last bucket absorbs the tail
 /// (`2^39` ns ≈ 9 minutes).
-pub const HISTOGRAM_BUCKETS: usize = 40;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A fixed-size log2 histogram of durations, safe to record into from
 /// many threads.
@@ -48,7 +48,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             total_ns: AtomicU64::new(0),
@@ -59,7 +59,7 @@ impl LatencyHistogram {
     /// return equal `Instant`s — lands in bucket 0 and adds nothing to
     /// the total, instead of panicking in `ilog2` (or being silently
     /// inflated to 1 ns).
-    pub fn record(&self, d: Duration) {
+    pub(crate) fn record(&self, d: Duration) {
         let ns = d.as_nanos() as u64;
         let bucket = match ns.checked_ilog2() {
             Some(b) => (b as usize).min(HISTOGRAM_BUCKETS - 1),
@@ -70,7 +70,7 @@ impl LatencyHistogram {
     }
 
     /// Copy the current contents.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
             .counts
             .iter()
@@ -107,7 +107,7 @@ impl HistogramSnapshot {
 
     /// Lower bound (ns) of the highest non-empty bucket — a cheap
     /// worst-case latency indicator.
-    pub fn max_bucket_ns(&self) -> u64 {
+    pub(crate) fn max_bucket_ns(&self) -> u64 {
         match self.buckets.iter().rposition(|&c| c > 0) {
             Some(i) => 1u64 << i,
             None => 0,
@@ -123,7 +123,7 @@ impl HistogramSnapshot {
     /// width of one bucket — a factor of 2 — which is what a latency SLO
     /// over microseconds-to-seconds needs. Returns 0 for an empty
     /// histogram.
-    pub fn percentile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn percentile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -153,7 +153,7 @@ impl HistogramSnapshot {
     /// the shorter bucket vector is padded). Log2 buckets over the same
     /// nanosecond grid sum exactly, so a cluster's merged latency
     /// distribution is as faithful as any single gateway's.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -166,7 +166,7 @@ impl HistogramSnapshot {
 
     /// The p50/p95/p99 summary the capacity campaign records per
     /// operating point.
-    pub fn percentiles(&self) -> LatencyPercentiles {
+    pub(crate) fn percentiles(&self) -> LatencyPercentiles {
         LatencyPercentiles {
             p50_ns: self.percentile_ns(0.50),
             p95_ns: self.percentile_ns(0.95),
@@ -176,7 +176,7 @@ impl HistogramSnapshot {
 }
 
 /// Tail-latency summary of a [`HistogramSnapshot`] (interpolated from the
-/// log2 buckets, see [`HistogramSnapshot::percentile_ns`]).
+/// log2 buckets, see `HistogramSnapshot::percentile_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyPercentiles {
     /// Median, nanoseconds.
@@ -215,7 +215,7 @@ pub struct WorkerStats {
     /// The effort rung this worker decodes its next chunk at — a gauge
     /// the overload ladder writes and the worker reads before each chunk;
     /// 0 = full effort, [`crate::load::SIC_RUNG`] = full effort plus the
-    /// SIC stage, [`crate::load::SHED_RUNG`] = shed. End of input resets
+    /// SIC stage, `crate::load::SHED_RUNG` = shed. End of input resets
     /// it to 0 for the drain, unless the SIC boost was granted, so after
     /// `finish` it reads 0 or [`crate::load::SIC_RUNG`], not the rung the
     /// ladder last set.
@@ -243,7 +243,7 @@ pub struct WorkerStats {
 
 impl WorkerStats {
     /// Fresh counters for one worker.
-    pub fn new(channel: usize, sf: u8) -> Self {
+    pub(crate) fn new(channel: usize, sf: u8) -> Self {
         Self {
             channel,
             sf,
@@ -268,7 +268,7 @@ impl WorkerStats {
 
     /// Mirror the streaming receiver's cumulative SIC report into the
     /// gauges (single-writer: only the owning worker calls this).
-    pub fn store_sic_report(&self, report: &cic::SicReport) {
+    pub(crate) fn store_sic_report(&self, report: &cic::SicReport) {
         self.sic_passes.store(report.passes, Ordering::Relaxed);
         self.sic_packets_recovered
             .store(report.recovered, Ordering::Relaxed);
@@ -278,7 +278,7 @@ impl WorkerStats {
 
     /// Fold one decode latency into the EWMA gauge (single-writer:
     /// only the owning worker calls this).
-    pub fn record_decode_ewma(&self, d: Duration) {
+    pub(crate) fn record_decode_ewma(&self, d: Duration) {
         let ns = d.as_nanos() as u64;
         let old = self.decode_ewma_ns.load(Ordering::Relaxed);
         // EWMA with alpha = 1/4, seeded by the first sample.
@@ -395,7 +395,7 @@ pub struct GatewayStats {
 
 impl GatewayStats {
     /// Stats for a gateway with the given worker layout.
-    pub fn new(workers: &[(usize, u8)]) -> Self {
+    pub(crate) fn new(workers: &[(usize, u8)]) -> Self {
         Self {
             samples_in: AtomicU64::new(0),
             chunks_in: AtomicU64::new(0),
@@ -417,13 +417,13 @@ impl GatewayStats {
     }
 
     /// The counters of worker `idx` (shared handle).
-    pub fn worker(&self, idx: usize) -> Arc<WorkerStats> {
+    pub(crate) fn worker(&self, idx: usize) -> Arc<WorkerStats> {
         self.per_worker[idx].clone()
     }
 
     /// Count one worker being moved onto `rung` (any ladder transition,
     /// including [`SIC_RUNG`] and [`SHED_RUNG`]).
-    pub fn record_rung_engagement(&self, rung: usize) {
+    pub(crate) fn record_rung_engagement(&self, rung: usize) {
         self.rung_engagements[rung_slot(rung)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -516,7 +516,7 @@ pub struct GatewaySnapshot {
     /// SIC subtractions abandoned by the match gate, summed over workers.
     pub sic_residual_abandoned: u64,
     /// Ladder engagements per rung slot (see [`rung_slot`]); length
-    /// [`RUNG_SLOTS`].
+    /// `RUNG_SLOTS`.
     pub rung_engagements: Vec<u64>,
     /// Channelizer latency histogram.
     pub channelize: HistogramSnapshot,
@@ -538,7 +538,7 @@ impl GatewaySnapshot {
     /// shard order. Note that `packets_released` counts per-shard
     /// releases — under overlapping coverage the cluster's *deduplicated*
     /// stream is smaller; see `ClusterSnapshot::packets_merged`.
-    pub fn merged(shards: &[GatewaySnapshot]) -> GatewaySnapshot {
+    pub(crate) fn merged(shards: &[GatewaySnapshot]) -> GatewaySnapshot {
         let mut channelize = HistogramSnapshot {
             count: 0,
             total_ns: 0,

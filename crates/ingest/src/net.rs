@@ -3,7 +3,7 @@
 //! back-to-back on a byte stream), both with read timeouts and
 //! reconnect under capped exponential backoff.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ impl Backoff {
     }
 
     /// The delay to sleep before the next attempt (doubles, capped).
-    pub fn delay(&mut self) -> Duration {
+    pub(crate) fn delay(&mut self) -> Duration {
         let d = self.next;
         self.next = (self.next * 2).min(self.max);
         d
@@ -49,13 +49,13 @@ impl Backoff {
     /// Back to the base delay (call once the link has proven healthy —
     /// NOT merely connected: the sources call it only once frames have
     /// kept arriving for a full liveness window).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.next = self.base;
     }
 
     /// The delay the next reconnect attempt would sleep (telemetry /
     /// test visibility; does not advance the schedule).
-    pub fn current(&self) -> Duration {
+    pub(crate) fn current(&self) -> Duration {
         self.next
     }
 }
@@ -228,7 +228,7 @@ impl IqSource for UdpIqSource {
 
 /// Paired sender for [`UdpIqSource`]: frames samples onto datagrams with
 /// automatic `seq` / `first_sample` tracking. The explicit
-/// [`UdpIqSender::send_frame`] escape hatch exists for fault-injection
+/// `UdpIqSender::send_frame` escape hatch exists for fault-injection
 /// tests (duplicate or reordered sequence numbers on purpose).
 pub struct UdpIqSender {
     sock: UdpSocket,
@@ -252,7 +252,12 @@ impl UdpIqSender {
     }
 
     /// Send one frame with explicit header fields.
-    pub fn send_frame(&self, seq: u64, first_sample: u64, samples: &[Cf32]) -> std::io::Result<()> {
+    pub(crate) fn send_frame(
+        &self,
+        seq: u64,
+        first_sample: u64,
+        samples: &[Cf32],
+    ) -> std::io::Result<()> {
         self.sock
             .send_to(&encode_frame(seq, first_sample, samples), self.dest)?;
         Ok(())
@@ -423,16 +428,6 @@ impl IqSource for TcpIqSource {
             }
         }
     }
-}
-
-/// Write one frame onto a TCP stream (sender-side helper).
-pub fn write_tcp_frame(
-    stream: &mut TcpStream,
-    seq: u64,
-    first_sample: u64,
-    samples: &[Cf32],
-) -> std::io::Result<()> {
-    stream.write_all(&encode_frame(seq, first_sample, samples))
 }
 
 #[cfg(test)]

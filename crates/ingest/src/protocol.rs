@@ -20,21 +20,19 @@
 //! trusting frame sizes. A frame with `n_samples == 0` is the explicit
 //! end-of-stream marker; senders repeat it a few times since it is as
 //! droppable as any other datagram (receivers also end on liveness
-//! timeout). Frames above [`MAX_FRAME_SAMPLES`] are rejected outright —
+//! timeout). Frames above `MAX_FRAME_SAMPLES` are rejected outright —
 //! a corrupt length must not trigger a half-gigabyte allocation.
 
 use lora_dsp::Cf32;
 
 /// `b"IQF1"` little-endian.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"IQF1");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"IQF1");
 /// Bytes before the payload.
-pub const HEADER_LEN: usize = 24;
+pub(crate) const HEADER_LEN: usize = 24;
 /// Upper bound on `n_samples`; larger frames are corrupt by definition.
 /// It bounds frames on a byte stream (TCP); a UDP datagram's 16-bit
 /// length field stops a frame at 8 185 samples over IPv4 first.
-pub const MAX_FRAME_SAMPLES: u32 = 1 << 16;
-/// Largest possible wire frame.
-pub const MAX_FRAME_BYTES: usize = HEADER_LEN + MAX_FRAME_SAMPLES as usize * 8;
+pub(crate) const MAX_FRAME_SAMPLES: u32 = 1 << 16;
 
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +47,7 @@ pub struct FrameHeader {
 
 impl FrameHeader {
     /// Whether this frame is the end-of-stream marker.
-    pub fn is_eos(&self) -> bool {
+    pub(crate) fn is_eos(&self) -> bool {
         self.n_samples == 0
     }
 }
@@ -57,11 +55,11 @@ impl FrameHeader {
 /// Why a buffer failed to parse as a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// Fewer than [`HEADER_LEN`] bytes.
+    /// Fewer than `HEADER_LEN` bytes.
     TooShort(usize),
-    /// The magic field did not match [`MAGIC`].
+    /// The magic field did not match `MAGIC`.
     BadMagic(u32),
-    /// `n_samples` exceeds [`MAX_FRAME_SAMPLES`].
+    /// `n_samples` exceeds `MAX_FRAME_SAMPLES`.
     Oversized(u32),
     /// The payload is shorter than the header promised.
     Truncated {
@@ -90,7 +88,7 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Serialize one frame. `samples.len()` must not exceed
-/// [`MAX_FRAME_SAMPLES`]; an empty slice encodes end of stream.
+/// `MAX_FRAME_SAMPLES`; an empty slice encodes end of stream.
 pub fn encode_frame(seq: u64, first_sample: u64, samples: &[Cf32]) -> Vec<u8> {
     assert!(
         samples.len() <= MAX_FRAME_SAMPLES as usize,
@@ -111,7 +109,7 @@ pub fn encode_frame(seq: u64, first_sample: u64, samples: &[Cf32]) -> Vec<u8> {
 /// Parse and validate a header from the front of `buf`. Does not check
 /// that the payload is present — datagram sources use
 /// [`decode_frame`]; stream sources read the payload separately.
-pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
+pub(crate) fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
     if buf.len() < HEADER_LEN {
         return Err(FrameError::TooShort(buf.len()));
     }
@@ -149,7 +147,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, Vec<Cf32>), FrameError> 
 }
 
 /// Deserialize an exact-length payload (`bytes.len() % 8 == 0`).
-pub fn decode_payload(bytes: &[u8]) -> Vec<Cf32> {
+pub(crate) fn decode_payload(bytes: &[u8]) -> Vec<Cf32> {
     debug_assert_eq!(bytes.len() % 8, 0);
     bytes
         .chunks_exact(8)

@@ -1,11 +1,6 @@
-//! The [`IqSource`] abstraction and its in-process implementations:
-//! file replay and the simulated SDR (a paced capture replay standing in
-//! for real front-end hardware).
+//! The [`IqSource`] abstraction: the pull interface the ingest driver
+//! reads, implemented by the socket sources in [`crate::net`].
 
-use std::io::Read;
-use std::path::Path;
-
-use lora_channel::PacedReplay;
 use lora_dsp::Cf32;
 
 use crate::protocol::FrameError;
@@ -37,7 +32,7 @@ pub enum IqEvent {
     /// Bytes arrived but failed to parse as a frame.
     Corrupt(FrameError),
     /// End of stream: the sender said so, or the source is permanently
-    /// done (file exhausted, retry budget spent).
+    /// done (retry budget spent).
     End,
 }
 
@@ -47,142 +42,4 @@ pub enum IqEvent {
 pub trait IqSource: Send {
     /// Block (bounded) for the next transport event.
     fn next_event(&mut self) -> IqEvent;
-}
-
-/// Replays a capture held in memory (or loaded from a raw IQ file) as a
-/// well-formed frame stream: contiguous sequence numbers, contiguous
-/// sample positions, then [`IqEvent::End`].
-pub struct FileReplaySource {
-    samples: Vec<Cf32>,
-    chunk: usize,
-    pos: usize,
-    seq: u64,
-}
-
-impl FileReplaySource {
-    /// Replay `samples` in frames of `chunk` samples.
-    pub fn from_samples(samples: Vec<Cf32>, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        Self {
-            samples,
-            chunk,
-            pos: 0,
-            seq: 0,
-        }
-    }
-
-    /// Load a raw capture file — little-endian interleaved `f32` IQ
-    /// pairs, the `inspectrum`/GNU Radio `.cf32` convention.
-    pub fn from_path(path: &Path, chunk: usize) -> std::io::Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() % 8 != 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "raw IQ file length is not a multiple of 8 bytes",
-            ));
-        }
-        Ok(Self::from_samples(
-            crate::protocol::decode_payload(&bytes),
-            chunk,
-        ))
-    }
-}
-
-impl IqSource for FileReplaySource {
-    fn next_event(&mut self) -> IqEvent {
-        if self.pos >= self.samples.len() {
-            return IqEvent::End;
-        }
-        let end = (self.pos + self.chunk).min(self.samples.len());
-        let frame = IqFrame {
-            seq: self.seq,
-            first_sample: self.pos as u64,
-            samples: self.samples[self.pos..end].to_vec(),
-        };
-        self.pos = end;
-        self.seq += 1;
-        IqEvent::Frame(frame)
-    }
-}
-
-/// A simulated SDR: frames arrive at the cadence real hardware would
-/// produce them, via [`PacedReplay`]. The canonical way to exercise the
-/// full ingest path — driver, subscription, shutdown — without a radio
-/// or a socket.
-pub struct SimSdrSource {
-    replay: PacedReplay,
-    seq: u64,
-}
-
-impl SimSdrSource {
-    /// Wrap a paced replay (build it with the pacing you want; `None`
-    /// speed degenerates to file replay).
-    pub fn new(replay: PacedReplay) -> Self {
-        Self { replay, seq: 0 }
-    }
-}
-
-impl IqSource for SimSdrSource {
-    fn next_event(&mut self) -> IqEvent {
-        let first_sample = self.replay.position() as u64;
-        match self.replay.next_chunk() {
-            Some(chunk) => {
-                let frame = IqFrame {
-                    seq: self.seq,
-                    first_sample,
-                    samples: chunk.to_vec(),
-                };
-                self.seq += 1;
-                IqEvent::Frame(frame)
-            }
-            None => IqEvent::End,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ramp(n: usize) -> Vec<Cf32> {
-        (0..n).map(|i| Cf32::new(i as f32, 0.0)).collect()
-    }
-
-    fn drain(mut src: impl IqSource) -> Vec<IqFrame> {
-        let mut frames = Vec::new();
-        loop {
-            match src.next_event() {
-                IqEvent::Frame(f) => frames.push(f),
-                IqEvent::End => return frames,
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn file_replay_is_contiguous_in_seq_and_position() {
-        let frames = drain(FileReplaySource::from_samples(ramp(10), 4));
-        assert_eq!(frames.len(), 3);
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
-        }
-        assert_eq!(frames[2].first_sample, 8);
-        assert_eq!(frames[2].samples.len(), 2);
-        let total: usize = frames.iter().map(|f| f.samples.len()).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn sim_sdr_delivers_the_whole_capture() {
-        let replay = PacedReplay::new(ramp(10), 4, 1e6, None);
-        let frames = drain(SimSdrSource::new(replay));
-        let mut seen = Vec::new();
-        for f in &frames {
-            assert_eq!(f.first_sample as usize, seen.len());
-            seen.extend_from_slice(&f.samples);
-        }
-        assert_eq!(seen.len(), 10);
-        assert!(seen.iter().enumerate().all(|(i, s)| s.re == i as f32));
-    }
 }

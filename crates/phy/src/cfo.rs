@@ -19,15 +19,6 @@ pub fn ppm_to_hz(ppm: f64, carrier_hz: f64) -> f64 {
 /// US 915 MHz ISM carrier used for CFO realism in the simulations.
 pub const DEFAULT_CARRIER_HZ: f64 = 915e6;
 
-/// Split a CFO expressed in bins into integer and fractional parts, with
-/// the fractional part in `[-0.5, 0.5)`.
-pub fn split_bins(cfo_bins: f64) -> (i64, f64) {
-    // floor(x + 0.5) keeps the fraction in [-0.5, 0.5) even at exact .5
-    // boundaries (f64::round would send -0.5 to -1, yielding frac = +0.5).
-    let int = (cfo_bins + 0.5).floor();
-    (int as i64, cfo_bins - int)
-}
-
 /// Fractional CFO distance between two estimates, accounting for the
 /// wrap at ±0.5 bin (a fractional CFO of 0.49 and one of -0.49 are only
 /// 0.02 bins apart).
@@ -44,24 +35,6 @@ mod tests {
     fn ppm_conversion() {
         assert!((ppm_to_hz(10.0, 915e6) - 9150.0).abs() < 1e-9);
         assert!((ppm_to_hz(-3.0, 915e6) + 2745.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_examples() {
-        let (i, f) = split_bins(3.2);
-        assert_eq!(i, 3);
-        assert!((f - 0.2).abs() < 1e-12);
-        let (i, f) = split_bins(-1.7);
-        assert_eq!(i, -2);
-        assert!((f - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fractional_in_half_open_range() {
-        for c in [-5.49, -0.5, 0.0, 0.49, 7.99] {
-            let (_, f) = split_bins(c);
-            assert!((-0.5..0.5).contains(&f), "cfo {c} -> frac {f}");
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn symbol_waveform(params: &LoraParams, s: usize) -> Vec<Cf32> {
 /// Append the waveform of data symbol `s` to `out` instead of allocating
 /// a fresh buffer. Lets waveform regeneration (the SIC subtraction path)
 /// reuse one arena buffer per worker.
-pub fn symbol_waveform_append(params: &LoraParams, s: usize, out: &mut Vec<Cf32>) {
+pub(crate) fn symbol_waveform_append(params: &LoraParams, s: usize, out: &mut Vec<Cf32>) {
     let n_bins = params.n_bins();
     assert!(
         s < n_bins,
@@ -78,19 +78,19 @@ pub struct ChirpTable {
 
 impl ChirpTable {
     /// Build the table for a parameter set.
-    pub fn new(params: LoraParams) -> Self {
+    pub(crate) fn new(params: LoraParams) -> Self {
         let up = upchirp(&params);
         let down = up.iter().map(|c| c.conj()).collect();
         Self { params, up, down }
     }
 
     /// The parameter set this table was built for.
-    pub fn params(&self) -> &LoraParams {
+    pub(crate) fn params(&self) -> &LoraParams {
         &self.params
     }
 
     /// The base up-chirp `C_0`.
-    pub fn up(&self) -> &[Cf32] {
+    pub(crate) fn up(&self) -> &[Cf32] {
         &self.up
     }
 
@@ -100,7 +100,7 @@ impl ChirpTable {
     }
 
     /// A quarter down-chirp (the `0.25` of the preamble's 2.25 down-chirps).
-    pub fn quarter_down(&self) -> &[Cf32] {
+    pub(crate) fn quarter_down(&self) -> &[Cf32] {
         &self.down[..self.params.samples_per_symbol() / 4]
     }
 }

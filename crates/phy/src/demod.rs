@@ -12,15 +12,13 @@ use crate::chirp::ChirpTable;
 use crate::params::LoraParams;
 
 /// Reusable buffers for one spectrum computation: the zero-padded complex
-/// FFT buffer and the raw per-bin power it produces. Owned by whoever runs
-/// a demod loop (one per thread — none of this is `Sync`) and threaded
-/// through the `_scratch` methods so the steady state never allocates.
+/// FFT buffer. Owned by whoever runs a demod loop (one per thread — none
+/// of this is `Sync`) and threaded through the `_scratch` methods so the
+/// steady state never allocates.
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
     /// Zero-padded complex transform buffer.
     pub padded: Vec<lora_dsp::Cf32>,
-    /// Raw (unfolded) per-bin power of the padded transform.
-    pub raw: Vec<f64>,
 }
 
 impl SpectrumScratch {
@@ -112,7 +110,7 @@ impl Demodulator {
     /// reads power straight off the complex buffer — the intermediate raw
     /// power vector of the allocating variant is never materialised, but
     /// the float operations (and thus the output) are bit-identical.
-    pub fn folded_spectrum_scratch(
+    pub(crate) fn folded_spectrum_scratch(
         &self,
         dechirped: &[lora_dsp::Cf32],
         scratch: &mut SpectrumScratch,
@@ -170,51 +168,12 @@ impl Demodulator {
         }
         self.symbol_spectrum(samples).argmax().map(|(bin, _)| bin)
     }
-
-    /// High-resolution fractional peak position (in bins) of a de-chirped
-    /// window, via a `zoom`-times zero-padded FFT around the whole
-    /// spectrum. Used for fractional-CFO estimation (paper §5.7 uses a
-    /// 16× FFT).
-    pub fn fractional_peak(&self, dechirped: &[lora_dsp::Cf32], zoom: usize) -> Option<f64> {
-        let mut scratch = SpectrumScratch::new();
-        let mut spec = Spectrum::from_power(Vec::new());
-        self.fractional_peak_scratch(dechirped, zoom, &mut scratch, &mut spec)
-    }
-
-    /// [`Demodulator::fractional_peak`] through reused buffers (`spec`
-    /// holds the folded zoomed spectrum, sized `n_bins * zoom`).
-    pub fn fractional_peak_scratch(
-        &self,
-        dechirped: &[lora_dsp::Cf32],
-        zoom: usize,
-        scratch: &mut SpectrumScratch,
-        spec: &mut Spectrum,
-    ) -> Option<f64> {
-        assert!(zoom >= 1);
-        let p = self.params();
-        let len = p.samples_per_symbol() * zoom;
-        self.fft
-            .power_spectrum_padded_into(dechirped, len, &mut scratch.padded, &mut scratch.raw);
-        // Fold the zoomed grid. Unlike the symbol grid (where a de-chirped
-        // tone aliases into exactly the first and last segment), a tone's
-        // segment index here depends on its frequency, so every one of the
-        // `os` alias segments must be summed — folding only the outer two
-        // silently drops tones whose energy sits in a middle segment.
-        let n_fold = p.n_bins() * zoom;
-        Spectrum::folded_all_into(&scratch.raw, n_fold, p.oversampling(), spec);
-        let (bin, power) = spec.argmax()?;
-        if power <= 0.0 {
-            return None;
-        }
-        let frac = lora_dsp::peaks::refine_quadratic(spec, bin);
-        Some(frac / zoom as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chirp::{apply_cfo, symbol_waveform};
+    use crate::chirp::symbol_waveform;
 
     fn demod() -> Demodulator {
         Demodulator::new(LoraParams::new(8, 250e3, 4).unwrap())
@@ -255,45 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_peak_resolves_sub_bin_cfo() {
-        let d = demod();
-        let p = *d.params();
-        let s = 40usize;
-        let cfo_bins = 0.3;
-        let mut w = symbol_waveform(&p, s);
-        apply_cfo(&p, &mut w, cfo_bins * p.bin_hz(), 0);
-        let de = d.dechirp(&w);
-        let f = d.fractional_peak(&de, 16).unwrap();
-        assert!(
-            (f - (s as f64 + cfo_bins)).abs() < 0.1,
-            "estimated {f}, expected {}",
-            s as f64 + cfo_bins
-        );
-    }
-
-    #[test]
-    fn fractional_peak_sees_middle_alias_segments() {
-        // Regression: the old fold summed only the first and last of the
-        // `os` zoomed alias segments (`raw[k] + raw[hi + k]`), so at
-        // os = 4 a tone whose zoomed-grid energy sits in segment 1 or 2
-        // was invisible and the argmax landed on its leakage skirts.
-        let d = demod();
-        let p = *d.params();
-        assert_eq!(p.oversampling(), 4);
-        let sps = p.samples_per_symbol();
-        // A pure tone at `n_bins + 5` cycles per symbol window: its raw
-        // zoomed bin is `(n_bins + 5) * zoom`, inside segment 1 of 4.
-        let f = (p.n_bins() + 5) as f32;
-        let x: Vec<lora_dsp::Cf32> = (0..sps)
-            .map(|i| {
-                lora_dsp::Cf32::from_polar(1.0, std::f32::consts::TAU * f * i as f32 / sps as f32)
-            })
-            .collect();
-        let est = d.fractional_peak(&x, 4).unwrap();
-        assert!((est - 5.0).abs() < 0.1, "estimated {est}, expected ~5.0");
-    }
-
-    #[test]
     fn scratch_variants_bit_identical() {
         let d = demod();
         let w = symbol_waveform(d.params(), 171);
@@ -312,10 +232,6 @@ mod tests {
         let mut de2 = Vec::new();
         d.dechirp_into(&w, &mut de2);
         assert_eq!(de2, de);
-        let f = d
-            .fractional_peak_scratch(&de, 8, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(Some(f), d.fractional_peak(&de, 8));
     }
 
     #[test]

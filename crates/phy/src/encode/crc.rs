@@ -9,7 +9,7 @@
 const POLY: u16 = 0x1021;
 
 /// Compute the CRC-16 of `data` (init 0x0000, no reflection, no final XOR).
-pub fn crc16(data: &[u8]) -> u16 {
+pub(crate) fn crc16(data: &[u8]) -> u16 {
     let mut crc: u16 = 0x0000;
     for &byte in data {
         crc ^= (byte as u16) << 8;
@@ -25,7 +25,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// Append the CRC (big-endian) to a payload.
-pub fn append_crc(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn append_crc(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 2);
     out.extend_from_slice(payload);
     let c = crc16(payload);
@@ -36,7 +36,7 @@ pub fn append_crc(payload: &[u8]) -> Vec<u8> {
 
 /// Split a CRC-suffixed buffer and verify it. Returns the payload slice on
 /// success, `None` when the buffer is too short or the CRC mismatches.
-pub fn check_crc(buf: &[u8]) -> Option<&[u8]> {
+pub(crate) fn check_crc(buf: &[u8]) -> Option<&[u8]> {
     if buf.len() < 2 {
         return None;
     }

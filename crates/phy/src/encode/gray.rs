@@ -5,12 +5,12 @@
 //! bit, which the Hamming layer can then correct.
 
 /// Gray-encode a value: adjacent integers map to codes differing in 1 bit.
-pub fn gray_encode(v: usize) -> usize {
+pub(crate) fn gray_encode(v: usize) -> usize {
     v ^ (v >> 1)
 }
 
 /// Inverse of [`gray_encode`]: prefix-XOR of all right shifts.
-pub fn gray_decode(g: usize) -> usize {
+pub(crate) fn gray_decode(g: usize) -> usize {
     let mut out = 0usize;
     let mut cur = g;
     while cur != 0 {

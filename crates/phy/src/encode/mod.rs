@@ -18,10 +18,9 @@
 //! clean-room; it is exercised end-to-end by every experiment since packet
 //! success requires all bits (incl. CRC) to survive demodulation.
 
-pub mod crc;
+mod crc;
 pub mod gray;
 pub mod hamming;
-pub mod header;
 pub mod interleave;
 pub mod whitening;
 
@@ -86,16 +85,6 @@ impl Codec {
     /// Build a codec.
     pub fn new(sf: SpreadingFactor, cr: CodeRate) -> Self {
         Self { sf, cr }
-    }
-
-    /// Spreading factor.
-    pub fn sf(&self) -> SpreadingFactor {
-        self.sf
-    }
-
-    /// Coding rate.
-    pub fn cr(&self) -> CodeRate {
-        self.cr
     }
 
     /// Number of data symbols a `payload_len`-byte payload occupies.

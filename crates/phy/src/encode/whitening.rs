@@ -34,13 +34,6 @@ pub fn whiten(data: &mut [u8]) {
     }
 }
 
-/// Whitened copy of `data`.
-pub fn whitened(data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
-    whiten(&mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,14 +69,17 @@ mod tests {
 
     #[test]
     fn sequence_is_deterministic() {
-        let a = whitened(&[0u8; 16]);
-        let b = whitened(&[0u8; 16]);
+        let mut a = [0u8; 16];
+        let mut b = [0u8; 16];
+        whiten(&mut a);
+        whiten(&mut b);
         assert_eq!(a, b);
     }
 
     #[test]
     fn first_byte_xored_with_seed() {
-        let w = whitened(&[0u8]);
+        let mut w = [0u8];
+        whiten(&mut w);
         assert_eq!(w[0], SEED);
     }
 
@@ -91,7 +87,8 @@ mod tests {
     fn period_exceeds_packet_sizes() {
         // The PN sequence over 256 bytes must not repeat with a short
         // period (255 for a maximal 8-bit LFSR).
-        let w = whitened(&vec![0u8; 512]);
+        let mut w = vec![0u8; 512];
+        whiten(&mut w);
         assert_ne!(&w[..64], &w[64..128]);
     }
 }

@@ -29,5 +29,5 @@ pub use chirp::{apply_cfo, downchirp, symbol_waveform, upchirp, ChirpTable};
 pub use demod::{Demodulator, SpectrumScratch};
 pub use encode::{Codec, DecodeError, DecodeStats};
 pub use modulate::{FrameLayout, Modulator};
-pub use packet::{Transceiver, TxPacket};
+pub use packet::Transceiver;
 pub use params::{CodeRate, LoraParams, ParamError, SpreadingFactor};

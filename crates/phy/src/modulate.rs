@@ -18,12 +18,12 @@ use crate::params::LoraParams;
 /// Number of `C_0` up-chirps that open the preamble.
 pub const PREAMBLE_UPCHIRPS: usize = 8;
 /// Number of SYNC symbols following the up-chirps.
-pub const SYNC_SYMBOLS: usize = 2;
+pub(crate) const SYNC_SYMBOLS: usize = 2;
 /// Down-chirps closing the preamble, in units of quarter symbols (2.25).
-pub const DOWNCHIRP_QUARTERS: usize = 9;
+pub(crate) const DOWNCHIRP_QUARTERS: usize = 9;
 
 /// Default SYNC word: symbols `C_8, C_16` (paper: `x != 0`, `y = x + 8`).
-pub const DEFAULT_SYNC_X: usize = 8;
+pub(crate) const DEFAULT_SYNC_X: usize = 8;
 
 /// Frame geometry for one parameter set — where each part of the packet
 /// sits, in samples from the start of the frame.
@@ -64,11 +64,6 @@ impl FrameLayout {
     pub fn data_symbol_start(&self, k: usize) -> usize {
         self.data_start + k * self.samples_per_symbol
     }
-
-    /// Preamble duration in symbols (12.25 with the default constants).
-    pub fn preamble_symbols(&self) -> f64 {
-        (PREAMBLE_UPCHIRPS + SYNC_SYMBOLS) as f64 + DOWNCHIRP_QUARTERS as f64 / 4.0
-    }
 }
 
 /// A packet modulator bound to one parameter set.
@@ -89,7 +84,7 @@ impl Modulator {
     /// Panics if `x == 0` (the paper requires a non-zero sync to be
     /// distinguishable from preamble up-chirps) or if `x + 8` overflows the
     /// symbol range.
-    pub fn with_sync(params: LoraParams, x: usize) -> Self {
+    pub(crate) fn with_sync(params: LoraParams, x: usize) -> Self {
         assert!(x != 0, "sync word x must be non-zero");
         assert!(x + 8 < params.n_bins(), "sync word y = x+8 out of range");
         Self {
@@ -107,11 +102,6 @@ impl Modulator {
     /// Frame geometry.
     pub fn layout(&self) -> &FrameLayout {
         &self.layout
-    }
-
-    /// Sync symbol values `(x, y)`.
-    pub fn sync_symbols(&self) -> (usize, usize) {
-        (self.sync_x, self.sync_x + 8)
     }
 
     /// Synthesize the complete unit-amplitude frame for `symbols`.
@@ -241,7 +231,6 @@ mod tests {
         assert_eq!(m.layout().sync_start, 8 * sps);
         assert_eq!(m.layout().downchirp_start, 10 * sps);
         assert_eq!(m.layout().data_start, 10 * sps + 9 * sps / 4);
-        assert_eq!(m.layout().preamble_symbols(), 12.25);
     }
 
     #[test]

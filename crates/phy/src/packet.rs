@@ -4,18 +4,9 @@
 
 use lora_dsp::Cf32;
 
-use crate::encode::{Codec, DecodeError, DecodeStats};
+use crate::encode::Codec;
 use crate::modulate::Modulator;
 use crate::params::{CodeRate, LoraParams};
-
-/// Transmit-side representation of one LoRa packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxPacket {
-    /// Application payload.
-    pub payload: Vec<u8>,
-    /// On-air data symbol values (after the full coding chain).
-    pub symbols: Vec<usize>,
-}
 
 /// A full PHY transceiver for one `(params, CR)` configuration —
 /// the software equivalent of one COTS LoRa radio.
@@ -48,27 +39,10 @@ impl Transceiver {
         &self.modulator
     }
 
-    /// Encode a payload into a packet (symbols only, no waveform yet).
-    pub fn encode(&self, payload: &[u8]) -> TxPacket {
-        TxPacket {
-            payload: payload.to_vec(),
-            symbols: self.codec.encode(payload),
-        }
-    }
-
     /// Synthesize the unit-amplitude baseband waveform of a payload,
     /// including the full preamble.
     pub fn waveform(&self, payload: &[u8]) -> Vec<Cf32> {
         self.modulator.frame_waveform(&self.codec.encode(payload))
-    }
-
-    /// Decode demodulated data symbols back into a payload.
-    pub fn decode(
-        &self,
-        symbols: &[usize],
-        payload_len: usize,
-    ) -> Result<(Vec<u8>, DecodeStats), DecodeError> {
-        self.codec.decode(symbols, payload_len)
     }
 
     /// Total frame duration in samples for a `payload_len`-byte payload.
@@ -112,7 +86,7 @@ mod tests {
                 d.demodulate_symbol(&wave[a..a + sps]).unwrap()
             })
             .collect();
-        let (out, stats) = x.decode(&symbols, 28).unwrap();
+        let (out, stats) = x.codec().decode(&symbols, 28).unwrap();
         assert_eq!(out, payload);
         assert_eq!(stats.corrected, 0);
     }
@@ -125,12 +99,5 @@ mod tests {
         let x = xcvr();
         let dur = x.frame_seconds(28);
         assert!((0.04..0.07).contains(&dur), "duration {dur}");
-    }
-
-    #[test]
-    fn encode_symbol_count_matches_codec() {
-        let x = xcvr();
-        let pkt = x.encode(&[1, 2, 3, 4]);
-        assert_eq!(pkt.symbols.len(), x.codec().n_symbols(4));
     }
 }

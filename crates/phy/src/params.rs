@@ -21,7 +21,7 @@ impl SpreadingFactor {
     }
 
     /// Number of distinct symbols / FFT bins, `2^SF`.
-    pub fn n_symbols(&self) -> usize {
+    pub(crate) fn n_symbols(&self) -> usize {
         1usize << self.0
     }
 }
@@ -41,7 +41,7 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// Parity bits added per 4-bit nibble (1..=4).
-    pub fn parity_bits(&self) -> usize {
+    pub(crate) fn parity_bits(&self) -> usize {
         match self {
             CodeRate::Cr45 => 1,
             CodeRate::Cr46 => 2,
@@ -145,11 +145,6 @@ impl LoraParams {
         self.n_bins() * self.oversampling
     }
 
-    /// Symbol duration `Ts = 2^SF / B` in seconds.
-    pub fn symbol_duration_s(&self) -> f64 {
-        self.n_bins() as f64 / self.bandwidth_hz
-    }
-
     /// Frequency width of one symbol bin, `B / 2^SF`, in Hz.
     pub fn bin_hz(&self) -> f64 {
         self.bandwidth_hz / self.n_bins() as f64
@@ -161,7 +156,7 @@ impl LoraParams {
     }
 
     /// Convert a sample count to seconds.
-    pub fn samples_to_seconds(&self, n: usize) -> f64 {
+    pub(crate) fn samples_to_seconds(&self, n: usize) -> f64 {
         n as f64 / self.sample_rate_hz()
     }
 }
@@ -191,7 +186,6 @@ mod tests {
         assert_eq!(p.n_bins(), 256);
         assert_eq!(p.samples_per_symbol(), 1024);
         assert!((p.sample_rate_hz() - 1_000_000.0).abs() < 1e-9);
-        assert!((p.symbol_duration_s() - 1.024e-3).abs() < 1e-9);
         assert!((p.bin_hz() - 976.5625).abs() < 1e-9);
     }
 

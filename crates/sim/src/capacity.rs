@@ -88,7 +88,7 @@ pub struct CapacityOutcome {
 
 /// The channelizer layout matching a [`BandPlan`] (spacing derived from
 /// the plan's uniform channel offsets).
-pub fn channelizer_for(plan: &BandPlan) -> ChannelizerConfig {
+pub(crate) fn channelizer_for(plan: &BandPlan) -> ChannelizerConfig {
     let spacing = if plan.n_channels() > 1 {
         plan.offsets_hz[1] - plan.offsets_hz[0]
     } else {

@@ -29,7 +29,7 @@ pub fn run(scenario: &Scenario, scheme: Scheme) -> RunMetrics {
 
 /// Run several schemes over the *same* capture (the paper's methodology:
 /// one recorded airtime, many decoders).
-pub fn run_all(scenario: &Scenario, schemes: &[Scheme]) -> Vec<(Scheme, RunMetrics)> {
+pub(crate) fn run_all(scenario: &Scenario, schemes: &[Scheme]) -> Vec<(Scheme, RunMetrics)> {
     let capture = generate(scenario);
     schemes
         .iter()

@@ -292,89 +292,6 @@ pub fn capacity_sweep(
     rows
 }
 
-/// One row of a multi-seed sweep with confidence information.
-#[derive(Debug, Clone)]
-pub struct StatsRow {
-    /// Offered aggregate load, pkt/s.
-    pub rate_pps: f64,
-    /// Scheme label.
-    pub scheme: String,
-    /// Mean throughput across seeds, pkt/s.
-    pub throughput_mean: f64,
-    /// Sample standard deviation of throughput across seeds.
-    pub throughput_std: f64,
-    /// Mean detection rate across seeds.
-    pub detection_mean: f64,
-    /// Number of seeds.
-    pub n_seeds: usize,
-}
-
-impl ToJson for StatsRow {
-    fn to_json_value(&self) -> JsonValue {
-        json_object! {
-            "rate_pps" => self.rate_pps,
-            "scheme" => self.scheme,
-            "throughput_mean" => self.throughput_mean,
-            "throughput_std" => self.throughput_std,
-            "detection_mean" => self.detection_mean,
-            "n_seeds" => self.n_seeds,
-        }
-    }
-}
-
-/// Multi-seed version of [`capacity_sweep`]: repeats every (rate, scheme)
-/// point with `n_seeds` independent seeds and reports mean ± std. Use for
-/// publication-grade runs where single-capture noise matters.
-pub fn capacity_sweep_stats(
-    deployment: DeploymentKind,
-    schemes: &[Scheme],
-    scale: &ScaleConfig,
-    n_seeds: usize,
-) -> Vec<StatsRow> {
-    assert!(n_seeds >= 1);
-    let mut acc: Vec<(f64, String, Vec<f64>, Vec<f64>)> = Vec::new();
-    for k in 0..n_seeds {
-        let mut sc = scale.clone();
-        sc.seed = scale.seed + 7919 * k as u64;
-        for row in capacity_sweep(deployment, schemes, &sc) {
-            match acc
-                .iter_mut()
-                .find(|(r, s, _, _)| *r == row.rate_pps && *s == row.scheme)
-            {
-                Some((_, _, tputs, dets)) => {
-                    tputs.push(row.throughput_pps);
-                    dets.push(row.detection_rate);
-                }
-                None => acc.push((
-                    row.rate_pps,
-                    row.scheme.clone(),
-                    vec![row.throughput_pps],
-                    vec![row.detection_rate],
-                )),
-            }
-        }
-    }
-    acc.into_iter()
-        .map(|(rate, scheme, tputs, dets)| {
-            let n = tputs.len() as f64;
-            let mean = tputs.iter().sum::<f64>() / n;
-            let var = if tputs.len() > 1 {
-                tputs.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / (n - 1.0)
-            } else {
-                0.0
-            };
-            StatsRow {
-                rate_pps: rate,
-                scheme,
-                throughput_mean: mean,
-                throughput_std: var.sqrt(),
-                detection_mean: dets.iter().sum::<f64>() / n,
-                n_seeds: tputs.len(),
-            }
-        })
-        .collect()
-}
-
 /// Figs 36–37 (E8): the CIC feature ablation on one deployment.
 pub fn ablation_sweep(deployment: DeploymentKind, scale: &ScaleConfig) -> Vec<SweepRow> {
     capacity_sweep(deployment, &Scheme::ABLATION_SET, scale)
@@ -526,26 +443,6 @@ mod tests {
             get(0.05, 0.05) < get(0.5, 0.5),
             "near-near should cancel less"
         );
-    }
-
-    #[test]
-    fn stats_aggregates_across_seeds() {
-        let scale = ScaleConfig {
-            duration_s: 0.5,
-            rates: vec![20.0],
-            seed: 5,
-        };
-        let rows = capacity_sweep_stats(
-            DeploymentKind::D1IndoorLos,
-            &[crate::Scheme::Standard],
-            &scale,
-            2,
-        );
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].n_seeds, 2);
-        assert!(rows[0].throughput_mean >= 0.0);
-        assert!(rows[0].throughput_std >= 0.0);
-        assert!((0.0..=1.0).contains(&rows[0].detection_mean));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod scenario;
 pub mod schemes;
 
 pub use capacity::{run_point, CapacityOutcome, CapacitySpec};
-pub use experiment::{run, run_all, run_on_capture};
+pub use experiment::{run, run_on_capture};
 pub use figures::ScaleConfig;
 pub use json::{JsonValue, ToJson};
 pub use metrics::RunMetrics;

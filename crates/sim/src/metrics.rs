@@ -37,15 +37,6 @@ impl RunMetrics {
             self.detected as f64 / self.transmitted as f64
         }
     }
-
-    /// Fraction of transmitted packets fully decoded.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.transmitted == 0 {
-            0.0
-        } else {
-            self.decoded as f64 / self.transmitted as f64
-        }
-    }
 }
 
 impl ToJson for RunMetrics {
@@ -65,7 +56,7 @@ impl ToJson for RunMetrics {
 /// A decode counts when its payload equals a truth payload and its frame
 /// start is within `tol_samples`; each truth packet can be claimed once.
 /// Detection counts need only the start position to match.
-pub fn score(
+pub(crate) fn score(
     truth: &[TruthPacket],
     rx: &[RxPacket],
     detected_starts: &[usize],
@@ -186,7 +177,6 @@ mod tests {
     fn rates_with_zero_transmissions() {
         let m = score(&[], &[], &[], 16, 1.0);
         assert_eq!(m.detection_rate(), 0.0);
-        assert_eq!(m.delivery_rate(), 0.0);
     }
 
     #[test]

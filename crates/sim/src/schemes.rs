@@ -45,7 +45,7 @@ impl Scheme {
     ];
 
     /// The four ablation variants of Figs 36–37.
-    pub const ABLATION_SET: [Scheme; 4] = [
+    pub(crate) const ABLATION_SET: [Scheme; 4] = [
         Scheme::CicAblation(true, true),
         Scheme::CicAblation(false, true),
         Scheme::CicAblation(true, false),
@@ -98,13 +98,18 @@ impl Scheme {
 }
 
 /// Adapter implementing the simulator's receiver trait for [`CicReceiver`].
-pub struct CicScheme {
+pub(crate) struct CicScheme {
     rx: CicReceiver,
 }
 
 impl CicScheme {
     /// Build a CIC scheme with a given configuration.
-    pub fn new(params: LoraParams, cr: CodeRate, payload_len: usize, config: CicConfig) -> Self {
+    pub(crate) fn new(
+        params: LoraParams,
+        cr: CodeRate,
+        payload_len: usize,
+        config: CicConfig,
+    ) -> Self {
         Self {
             rx: CicReceiver::new(params, cr, payload_len, config),
         }
