@@ -33,6 +33,33 @@ use crate::scratch::DemodScratch;
 use crate::sed::EdgeSpectra;
 use crate::subsymbol::Boundaries;
 
+/// Candidate peaks must exceed this factor times the median power of
+/// the intersected spectrum.
+const PEAK_THRESHOLD: f64 = 3.0;
+
+/// Minimum cyclic bin separation between reported candidates.
+const PEAK_MIN_SEPARATION: usize = 1;
+
+/// Drop candidates more than this many dB below the strongest peak of
+/// the intersected spectrum. Sinc sidelobes sit ≥13 dB down, while a
+/// partially-cancelled interferer that genuinely threatens the decision
+/// is within a few dB (paper Fig 14).
+const CANDIDATE_MAX_BELOW_PEAK_DB: f64 = 9.0;
+
+/// Ignore interferer boundaries that would create a sub-symbol shorter
+/// than this many samples: such a window is below the time-frequency
+/// uncertainty floor and cannot cancel anything (paper §5.1), it only
+/// injects a near-flat spectrum into the intersection.
+const MIN_SUBSYMBOL_SAMPLES: usize = 16;
+
+/// Maximum fractional-CFO error, in bins, for a candidate to survive the
+/// CFO filter (paper §5.7).
+const CFO_FILTER_MAX_BINS: f64 = 0.25;
+
+/// Maximum deviation from the preamble power estimate, in dB, for a
+/// candidate to survive the power filter (paper §5.7 uses 3 dB).
+const POWER_FILTER_MAX_DB: f64 = 3.0;
+
 /// Per-transmission context carried from preamble detection into symbol
 /// demodulation (paper §5.7–5.8).
 #[derive(Debug, Clone, Default)]
@@ -90,7 +117,6 @@ pub struct CicDemodulator {
 #[allow(clippy::too_many_arguments)]
 fn intersect_icss_into(
     demod: &Demodulator,
-    min_subsymbol_samples: usize,
     dechirped: &[Cf32],
     boundaries: &Boundaries,
     full_padded: Option<&[Cf32]>,
@@ -100,7 +126,7 @@ fn intersect_icss_into(
     out: &mut Spectrum,
 ) {
     let p = demod.params();
-    optimal_icss_into(boundaries, min_subsymbol_samples, icss);
+    optimal_icss_into(boundaries, MIN_SUBSYMBOL_SAMPLES, icss);
     let mut first = true;
     for r in icss.iter() {
         match full_padded {
@@ -144,7 +170,6 @@ impl CicDemodulator {
         let mut out = Spectrum::from_power(Vec::new());
         intersect_icss_into(
             &self.demod,
-            self.config.min_subsymbol_samples,
             dechirped,
             boundaries,
             None,
@@ -225,7 +250,6 @@ impl CicDemodulator {
 
         intersect_icss_into(
             &self.demod,
-            self.config.min_subsymbol_samples,
             dechirped,
             boundaries,
             Some(full_padded),
@@ -235,13 +259,7 @@ impl CicDemodulator {
             cic_spec,
         );
 
-        peaks::find_peaks_into(
-            cic_spec,
-            self.config.peak_threshold,
-            self.config.peak_min_separation,
-            median,
-            found,
-        );
+        peaks::find_peaks_into(cic_spec, PEAK_THRESHOLD, PEAK_MIN_SEPARATION, median, found);
         candidates.clear();
         for pk in found.iter().take(self.config.max_candidates) {
             let n = full_spec.len() as f64;
@@ -302,8 +320,7 @@ impl CicDemodulator {
             .iter()
             .map(|c| c.intersected_power)
             .fold(0.0f64, f64::max);
-        let rel_floor =
-            strongest / lora_dsp::math::from_db(self.config.candidate_max_below_peak_db);
+        let rel_floor = strongest / lora_dsp::math::from_db(CANDIDATE_MAX_BELOW_PEAK_DB);
         candidates.retain(|c| c.intersected_power >= rel_floor);
 
         if candidates.is_empty() {
@@ -340,10 +357,10 @@ impl CicDemodulator {
         flags.clear();
         for c in candidates.iter() {
             let mut f = 0u8;
-            if cfo_expect.is_some_and(|e| cfo_matches(c, e, self.config.cfo_filter_max_bins)) {
+            if cfo_expect.is_some_and(|e| cfo_matches(c, e, CFO_FILTER_MAX_BINS)) {
                 f |= 1;
             }
-            if pow_expect.is_some_and(|e| power_matches(c, e, self.config.power_filter_max_db)) {
+            if pow_expect.is_some_and(|e| power_matches(c, e, POWER_FILTER_MAX_DB)) {
                 f |= 2;
             }
             flags.push(f);
@@ -366,30 +383,28 @@ impl CicDemodulator {
             return (candidates[idx].refined_bin, Selection::Filtered);
         }
 
-        if self.config.use_sed {
-            EdgeSpectra::compute_scratch(
-                &self.demod,
-                dechirped,
-                self.config.sed_windows,
-                spec,
-                sed_tmp,
-                edges,
-            );
-            sed_bins.clear();
-            for (c, &f) in candidates.iter().zip(flags.iter()) {
-                if f & mask == mask {
-                    sed_bins.push(c.bin);
-                }
+        EdgeSpectra::compute_scratch(
+            &self.demod,
+            dechirped,
+            self.config.sed_windows,
+            spec,
+            sed_tmp,
+            edges,
+        );
+        sed_bins.clear();
+        for (c, &f) in candidates.iter().zip(flags.iter()) {
+            if f & mask == mask {
+                sed_bins.push(c.bin);
             }
-            if let Some(best) = edges.best_candidate_with(sed_bins, median) {
-                let value = candidates
-                    .iter()
-                    .zip(flags.iter())
-                    .find(|&(c, &f)| f & mask == mask && c.bin == best)
-                    .map(|(c, _)| c.refined_bin)
-                    .unwrap_or(best);
-                return (value, Selection::Sed);
-            }
+        }
+        if let Some(best) = edges.best_candidate_with(sed_bins, median) {
+            let value = candidates
+                .iter()
+                .zip(flags.iter())
+                .find(|&(c, &f)| f & mask == mask && c.bin == best)
+                .map(|(c, _)| c.refined_bin)
+                .unwrap_or(best);
+            return (value, Selection::Sed);
         }
 
         // Last resort: strongest surviving candidate. `candidates` is
@@ -412,7 +427,7 @@ impl CicDemodulator {
         boundaries: &Boundaries,
         ctx: &SymbolContext,
     ) -> SymbolDecision {
-        let icss = optimal_icss(boundaries, self.config.min_subsymbol_samples);
+        let icss = optimal_icss(boundaries, MIN_SUBSYMBOL_SAMPLES);
         let spectra: Vec<Spectrum> = icss
             .iter()
             .map(|r| self.demod.folded_spectrum_range(dechirped, *r))
@@ -426,11 +441,7 @@ impl CicDemodulator {
         let full_spec = self.demod.folded_spectrum(dechirped);
         let full_amp = self.demod.folded_amplitude_spectrum(dechirped);
 
-        let peaks_found = peaks::find_peaks(
-            &cic_spec,
-            self.config.peak_threshold,
-            self.config.peak_min_separation,
-        );
+        let peaks_found = peaks::find_peaks(&cic_spec, PEAK_THRESHOLD, PEAK_MIN_SEPARATION);
         let mut candidates: Vec<Candidate> = peaks_found
             .iter()
             .take(self.config.max_candidates)
@@ -482,8 +493,7 @@ impl CicDemodulator {
             .iter()
             .map(|c| c.intersected_power)
             .fold(0.0f64, f64::max);
-        let rel_floor =
-            strongest / lora_dsp::math::from_db(self.config.candidate_max_below_peak_db);
+        let rel_floor = strongest / lora_dsp::math::from_db(CANDIDATE_MAX_BELOW_PEAK_DB);
         candidates.retain(|c| c.intersected_power >= rel_floor);
 
         if candidates.is_empty() {
@@ -504,20 +514,14 @@ impl CicDemodulator {
 
         let kept_cfo: Option<Vec<Candidate>> = match (self.config.use_cfo_filter, ctx.frac_cfo_bins)
         {
-            (true, Some(expect)) => Some(cfo_filter(
-                &candidates,
-                expect,
-                self.config.cfo_filter_max_bins,
-            )),
+            (true, Some(expect)) => Some(cfo_filter(&candidates, expect, CFO_FILTER_MAX_BINS)),
             _ => None,
         };
         let kept_pow: Option<Vec<Candidate>> =
             match (self.config.use_power_filter, ctx.expected_peak_power) {
-                (true, Some(expect)) => Some(power_filter(
-                    &candidates,
-                    expect,
-                    self.config.power_filter_max_db,
-                )),
+                (true, Some(expect)) => {
+                    Some(power_filter(&candidates, expect, POWER_FILTER_MAX_DB))
+                }
                 _ => None,
             };
         let both: Option<Vec<Candidate>> = match (&kept_cfo, &kept_pow) {
@@ -544,21 +548,19 @@ impl CicDemodulator {
             };
         }
 
-        if self.config.use_sed {
-            let edges = EdgeSpectra::compute(&self.demod, dechirped, self.config.sed_windows);
-            let bins: Vec<usize> = filtered.iter().map(|c| c.bin).collect();
-            if let Some(best) = edges.best_candidate(&bins) {
-                let value = filtered
-                    .iter()
-                    .find(|c| c.bin == best)
-                    .map(|c| c.refined_bin)
-                    .unwrap_or(best);
-                return SymbolDecision {
-                    value,
-                    selection: Selection::Sed,
-                    candidates,
-                };
-            }
+        let edges = EdgeSpectra::compute(&self.demod, dechirped, self.config.sed_windows);
+        let bins: Vec<usize> = filtered.iter().map(|c| c.bin).collect();
+        if let Some(best) = edges.best_candidate(&bins) {
+            let value = filtered
+                .iter()
+                .find(|c| c.bin == best)
+                .map(|c| c.refined_bin)
+                .unwrap_or(best);
+            return SymbolDecision {
+                value,
+                selection: Selection::Sed,
+                candidates,
+            };
         }
 
         filtered.sort_by(|a, b| b.intersected_power.total_cmp(&a.intersected_power));

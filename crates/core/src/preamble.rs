@@ -18,7 +18,13 @@ use lora_phy::modulate::{FrameLayout, PREAMBLE_UPCHIRPS};
 use lora_phy::params::LoraParams;
 use lora_phy::Demodulator;
 
-use crate::config::CicConfig;
+/// Detection threshold for the down-chirp preamble scan: the
+/// up-dechirped peak must exceed this factor times the window median.
+const PREAMBLE_PEAK_THRESHOLD: f64 = 8.0;
+
+/// Minimum number of the 8 preamble up-chirps that must agree on one
+/// bin for a detection to be confirmed (paper §5.8).
+const PREAMBLE_MIN_UPCHIRPS: usize = 5;
 
 /// A confirmed packet detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,17 +42,15 @@ pub struct Detection {
 /// Down-chirp based preamble detector (the CIC method).
 pub(crate) struct PreambleDetector {
     demod: Demodulator,
-    config: CicConfig,
     layout: FrameLayout,
 }
 
 impl PreambleDetector {
     /// Build a detector.
-    pub(crate) fn new(params: LoraParams, config: CicConfig) -> Self {
+    pub(crate) fn new(params: LoraParams) -> Self {
         Self {
             demod: Demodulator::new(params),
             layout: FrameLayout::new(&params),
-            config,
         }
     }
 
@@ -73,7 +77,7 @@ impl PreambleDetector {
                 .folded_spectrum(&self.demod.updechirp(&capture[w..w + sps]));
             if let Some((_, p)) = spec.argmax() {
                 let floor = spec.median_power();
-                if floor > 0.0 && p / floor >= self.config.preamble_peak_threshold {
+                if floor > 0.0 && p / floor >= PREAMBLE_PEAK_THRESHOLD {
                     coarse.push((w, p / floor));
                 }
             }
@@ -162,7 +166,7 @@ impl PreambleDetector {
                 // Absolute gate: a true frame has a strong coherent tone
                 // in its first down-chirp window; coincidental voting
                 // runs in data regions do not.
-                if dc_ratio < self.config.preamble_peak_threshold {
+                if dc_ratio < PREAMBLE_PEAK_THRESHOLD {
                     continue;
                 }
                 verified.push((det, quality, dc));
@@ -206,7 +210,7 @@ impl PreambleDetector {
             let a = frame_start + k * sps;
             let de = self.demod.dechirp(&capture[a..a + sps]);
             let spec = self.demod.folded_spectrum(&de);
-            let mut ps = peaks::find_peaks(&spec, self.config.preamble_peak_threshold, 1);
+            let mut ps = peaks::find_peaks(&spec, PREAMBLE_PEAK_THRESHOLD, 1);
             ps.truncate(6);
             for p in &mut ps {
                 p.power = spec[p.bin] + spec[(p.bin + 1) % n] + spec[(p.bin + n - 1) % n];
@@ -232,7 +236,7 @@ impl PreambleDetector {
             }
         }
         let (mode_bin, votes) = best;
-        if votes < self.config.preamble_min_upchirps {
+        if votes < PREAMBLE_MIN_UPCHIRPS {
             return None;
         }
 
@@ -266,7 +270,7 @@ impl PreambleDetector {
             let spec = self
                 .demod
                 .folded_spectrum(&self.demod.dechirp(&capture[a..a + sps]));
-            let ps = peaks::find_peaks(&spec, self.config.preamble_peak_threshold, 1);
+            let ps = peaks::find_peaks(&spec, PREAMBLE_PEAK_THRESHOLD, 1);
             ps.iter().take(6).any(|p| {
                 let d = (p.bin + n - mode_bin) % n;
                 d.abs_diff(expect) <= 1 || d == n - 1 && expect == 0
@@ -593,7 +597,7 @@ mod tests {
     #[test]
     fn detects_clean_packet_at_exact_start() {
         let (cap, start) = capture_with_packet(20.0, 3000, 0.0, 1);
-        let det = PreambleDetector::new(params(), CicConfig::default());
+        let det = PreambleDetector::new(params());
         let ds = det.detect(&cap);
         assert_eq!(ds.len(), 1, "detections: {ds:?}");
         assert!(
@@ -611,7 +615,7 @@ mod tests {
         let cfo_bins_true = 2.4;
         let cfo_hz = cfo_bins_true * p.bin_hz();
         let (cap, start) = capture_with_packet(25.0, 5000, cfo_hz, 2);
-        let det = PreambleDetector::new(p, CicConfig::default());
+        let det = PreambleDetector::new(p);
         let ds = det.detect(&cap);
         assert_eq!(ds.len(), 1);
         assert!(
@@ -626,7 +630,7 @@ mod tests {
     #[test]
     fn detects_at_low_snr() {
         let (cap, start) = capture_with_packet(-2.0, 4096, 0.0, 3);
-        let det = PreambleDetector::new(params(), CicConfig::default());
+        let det = PreambleDetector::new(params());
         let ds = det.detect(&cap);
         assert_eq!(ds.len(), 1, "sub-noise packet missed");
         assert!(ds[0].frame_start.abs_diff(start) <= 4);
@@ -637,7 +641,7 @@ mod tests {
         let p = params();
         let mut rng = StdRng::seed_from_u64(4);
         let cap = lora_channel::awgn::noise_buffer(&mut rng, 60_000);
-        let det = PreambleDetector::new(p, CicConfig::default());
+        let det = PreambleDetector::new(p);
         assert!(det.detect(&cap).is_empty());
     }
 
@@ -671,7 +675,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(5);
         add_unit_noise(&mut rng, &mut cap);
-        let det = PreambleDetector::new(p, CicConfig::default());
+        let det = PreambleDetector::new(p);
         let ds = det.detect(&cap);
         assert_eq!(ds.len(), 2, "detections: {ds:?}");
         assert!(ds[0].frame_start.abs_diff(0) <= 4);

@@ -28,6 +28,11 @@ use crate::scratch::DemodScratch;
 use crate::sic::{CancelOutcome, ResidualBuffer, SicReport};
 use crate::tracker::{ActiveTx, Tracker};
 
+/// Stop the SIC residual passes when a pass's subtractions lowered the
+/// total residual power by less than this many dB: re-running CIC on an
+/// unchanged buffer can only re-find the same packets.
+const MIN_PASS_REDUCTION_DB: f64 = 0.05;
+
 /// One packet recovered (or attempted) from a capture.
 #[derive(Debug, Clone)]
 pub struct DecodedPacket {
@@ -96,7 +101,7 @@ impl CicReceiver {
     /// Detect all packets in a capture (step 1 only). Useful for the
     /// detection-rate evaluation (paper Figs 32–35).
     pub fn detect(&self, capture: &[Cf32]) -> Vec<Detection> {
-        PreambleDetector::new(self.params, self.config.clone()).detect(capture)
+        PreambleDetector::new(self.params).detect(capture)
     }
 
     /// Build the tracker for a set of detections.
@@ -246,7 +251,7 @@ impl CicReceiver {
             }
             // Residual-power stop: re-running CIC on a buffer this pass
             // barely changed can only re-find the same packets.
-            if lora_dsp::math::db(e_before / e_after) < cfg.min_pass_reduction_db {
+            if lora_dsp::math::db(e_before / e_after) < MIN_PASS_REDUCTION_DB {
                 break;
             }
             report.passes += 1;

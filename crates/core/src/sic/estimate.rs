@@ -23,6 +23,10 @@ use lora_phy::params::LoraParams;
 use crate::sic::subtract::correlate;
 use crate::sic::SicConfig;
 
+/// Number of blocks the span is split into for CFO refinement; the
+/// integer timing search scores over the same blocks.
+const REFINE_BLOCKS: usize = 16;
+
 /// Refined subtraction parameters for one decoded packet.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SicEstimate {
@@ -77,7 +81,7 @@ pub(crate) fn refine(
         if n < sps {
             continue;
         }
-        let nb = cfg.refine_blocks.min(n / sps).max(1);
+        let nb = REFINE_BLOCKS.min(n / sps).max(1);
         let blen = n / nb;
         let mut score = 0.0f64;
         for b in 0..nb {
@@ -99,7 +103,7 @@ pub(crate) fn refine(
 
     // Residual-CFO refinement from the block-gain phase slope.
     for _ in 0..cfg.refine_iters {
-        let nb = cfg.refine_blocks.min(n / sps);
+        let nb = REFINE_BLOCKS.min(n / sps);
         if nb < 2 {
             break;
         }

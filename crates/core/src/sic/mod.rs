@@ -37,17 +37,11 @@ pub struct SicConfig {
     /// captures at least this many dB more of the span's energy than a
     /// noise-only fit would (whose expectation is `1/span`).
     pub min_match_db: f64,
-    /// Stop iterating when a pass's subtractions lowered the total
-    /// residual power by less than this many dB — re-running CIC on an
-    /// unchanged buffer can only re-find the same packets.
-    pub min_pass_reduction_db: f64,
     /// Half-width, in samples, of the integer timing search around the
     /// detected frame start.
     pub timing_search: usize,
     /// Iterations of the block-phase-slope residual-CFO refinement.
     pub refine_iters: usize,
-    /// Number of blocks the span is split into for CFO refinement.
-    pub refine_blocks: usize,
 }
 
 impl Default for SicConfig {
@@ -55,10 +49,8 @@ impl Default for SicConfig {
         Self {
             depth: 0,
             min_match_db: 15.0,
-            min_pass_reduction_db: 0.05,
             timing_search: 8,
             refine_iters: 2,
-            refine_blocks: 16,
         }
     }
 }

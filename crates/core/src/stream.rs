@@ -460,13 +460,19 @@ mod tests {
         let mut got = Vec::new();
         for (i, c) in cap.chunks(8192).enumerate() {
             if i == 4 {
-                s.set_config(CicConfig::default().effort_rung(CicConfig::MAX_EFFORT_RUNG));
+                s.set_config(CicConfig {
+                    decode_passes: 1,
+                    max_candidates: 4,
+                    sed_windows: 4,
+                    ..CicConfig::default()
+                });
             }
             got.extend(s.push(c));
         }
         got.extend(s.flush());
-        // This capture's packets are clean enough to decode at the lowest
-        // effort rung; the swap itself must not disturb the stream state.
+        // This capture's packets are clean enough to decode at the least
+        // effort a gateway asks for; the swap itself must not disturb the
+        // stream state.
         assert_eq!(got.len(), 3);
         got.sort_by_key(|p| p.detection.frame_start);
         for (pkt, (ts, tp)) in got.iter().zip(&truth) {

@@ -157,7 +157,6 @@ proptest! {
             timing_search: 0,
             refine_iters: 0,
             min_match_db: f64::NEG_INFINITY,
-            ..SicConfig::default()
         });
         for kept in plain.iter().filter(|p| p.ok()) {
             let start = kept.detection.frame_start;

@@ -52,8 +52,8 @@
 //! queue integrates its length over time — and its decode-latency
 //! gauge; they take only the queues' own short locks and write atomics.
 //! When decoders fall behind the
-//! ladder first cuts decoder effort on hot streams
-//! ([`cic::CicConfig::effort_rung`]), then sheds whole high-SF streams
+//! ladder first cuts decoder effort on hot streams rung by rung, then
+//! sheds whole high-SF streams
 //! (their chunks are discarded and counted, their watermarks keep
 //! advancing), and only load the ladder cannot absorb reaches the
 //! bounded queues' counted drop-oldest eviction — after which the stream
@@ -83,7 +83,8 @@ use lora_dsp::{Cf32, Channelizer, ChannelizerConfig, ChannelizerError};
 use lora_phy::params::{CodeRate, LoraParams, ParamError};
 
 use crate::load::{
-    ControlAction, OverloadConfig, OverloadController, OverloadPolicy, SHED_RUNG, SIC_RUNG,
+    rung_config, ControlAction, OverloadConfig, OverloadController, OverloadPolicy,
+    MAX_EFFORT_RUNG, SHED_RUNG, SIC_RUNG,
 };
 use crate::pool::{DecodePool, Task, Turn};
 use crate::queue::{Chunk, ChunkQueue, Pop};
@@ -129,6 +130,9 @@ pub enum ConfigError {
     /// Per-worker queue capacity of zero chunks (no sample could ever be
     /// enqueued).
     ZeroQueueCapacity,
+    /// The fixed payload length, in bytes, exceeds the 255 bytes of
+    /// LoRa's largest PHY payload.
+    PayloadTooLong(usize),
     /// The per-channel LoRa parameters derived from the channelizer
     /// layout and oversampling are invalid at this spreading factor.
     InvalidChannelParams {
@@ -159,6 +163,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroQueueCapacity => {
                 write!(f, "per-worker queue capacity must be at least one chunk")
             }
+            ConfigError::PayloadTooLong(len) => write!(
+                f,
+                "payload length {len} B exceeds the {MAX_PAYLOAD_LEN} B LoRa maximum"
+            ),
             ConfigError::InvalidChannelParams {
                 sf,
                 bandwidth_hz,
@@ -185,6 +193,10 @@ impl std::error::Error for ConfigError {
         }
     }
 }
+
+/// LoRa's largest PHY payload, in bytes: the explicit header carries the
+/// length in one byte.
+const MAX_PAYLOAD_LEN: usize = 255;
 
 impl GatewayConfig {
     /// LoRa parameters of one channel stream at spreading factor `sf`.
@@ -213,7 +225,7 @@ impl GatewayConfig {
 
     /// Check every axis of the configuration up front, before any
     /// resource is allocated or thread spawned: channel plan, spreading
-    /// factor set, queue sizing, the derived per-channel LoRa
+    /// factor set, queue sizing, payload length, the derived per-channel LoRa
     /// parameters at every configured spreading factor, and the
     /// channelizer's filter design and decimation.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
@@ -230,6 +242,9 @@ impl GatewayConfig {
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
+        }
+        if self.payload_len > MAX_PAYLOAD_LEN {
+            return Err(ConfigError::PayloadTooLong(self.payload_len));
         }
         for &sf in &self.sfs {
             self.try_channel_params(sf)?;
@@ -289,21 +304,6 @@ impl Stream {
     /// correcting the filter group delay.
     fn to_wideband(&self, channel_sample: usize) -> u64 {
         (channel_sample as u64 * self.decimation).saturating_sub(self.delay_wideband)
-    }
-
-    /// Decoder configuration for one ladder rung. [`SIC_RUNG`] is the
-    /// full base configuration (residual cancellation as configured);
-    /// every ordinary effort rung — including full-effort rung 0 — runs
-    /// with the SIC stage disabled, so the ladder alone decides when the
-    /// gateway spends headroom on residual passes.
-    fn config_for_rung(&self, rung: usize) -> CicConfig {
-        if rung == SIC_RUNG {
-            self.base_cic.clone()
-        } else {
-            let mut c = self.base_cic.effort_rung(rung);
-            c.sic.depth = 0;
-            c
-        }
     }
 
     /// Count and forward freshly decoded packets to the sink.
@@ -378,7 +378,7 @@ impl Stream {
         }
         self.end_shed();
         if rung != self.applied_rung {
-            self.sr.set_config(self.config_for_rung(rung));
+            self.sr.set_config(rung_config(&self.base_cic, rung));
             self.applied_rung = rung;
         }
         let mut decoded = Vec::new();
@@ -530,7 +530,7 @@ impl ShardLadder {
                 degrade,
             } => (vec![worker], rung, degrade),
             ControlAction::Shed { workers, .. } => (workers, SHED_RUNG, true),
-            ControlAction::Restore { workers, .. } => (workers, CicConfig::MAX_EFFORT_RUNG, false),
+            ControlAction::Restore { workers, .. } => (workers, MAX_EFFORT_RUNG, false),
         };
         for w in workers {
             let wstats = &self.wstats[w];
@@ -667,11 +667,12 @@ impl Shard {
         streams: &mut Vec<Stream>,
     ) -> Self {
         // Under the adaptive ladder, a configured SIC stage becomes the
-        // boost rung: workers start without it and earn it through
-        // recovery steps, so residual passes only ever run with headroom.
-        // (Under drop-oldest there is no controller, so the base config —
-        // SIC included — applies unconditionally.)
+        // boost rung: workers start at rung 0, without it, and earn it
+        // through recovery steps, so residual passes only ever run with
+        // headroom. (Under drop-oldest there is no controller, so the
+        // base config — SIC included — applies unconditionally.)
         let adaptive = config.overload.policy == OverloadPolicy::Adaptive;
+        let start_rung = if adaptive { 0 } else { SIC_RUNG };
         let workers = config.workers();
         let stats = Arc::new(GatewayStats::new(&workers));
         let channelizer = Channelizer::new(config.channelizer.clone());
@@ -687,19 +688,11 @@ impl Shard {
         let receivers: Vec<StreamingReceiver> = workers
             .iter()
             .map(|&(_, sf)| {
-                let initial_cic = if adaptive {
-                    // Workers start at rung 0: full effort, no SIC boost.
-                    let mut c = config.cic.clone();
-                    c.sic.depth = 0;
-                    c
-                } else {
-                    config.cic.clone()
-                };
                 StreamingReceiver::new(
                     config.channel_params(sf),
                     config.code_rate,
                     config.payload_len,
-                    initial_cic,
+                    rung_config(&config.cic, start_rung),
                 )
             })
             .collect();
@@ -1602,10 +1595,11 @@ mod tests {
 
         /// Arbitrary channelizer plans through `Gateway::new`: tap counts
         /// and decimations including 0, up to 8 offsets and a rate and
-        /// cutoff that may be 0, negative, NaN or infinite. Each comes back
-        /// as a typed `ConfigError` or as a gateway that takes pushes of
-        /// any length, including 0, of NaN, infinite and saturated
-        /// samples, and finishes, never as a panic.
+        /// cutoff that may be 0, negative, NaN or infinite, and payload
+        /// lengths up to 300 B or near `usize::MAX`. Each comes back as a
+        /// typed `ConfigError` or as a gateway for a payload of at most
+        /// 255 B that takes pushes of any length, including 0, of NaN,
+        /// infinite and saturated samples, and finishes, never as a panic.
         #[test]
         fn arbitrary_channelizer_plans_are_typed_errors_or_run_to_the_end(
             num_taps in prop_oneof![0usize..=4096, 1usize..=257],
@@ -1626,6 +1620,11 @@ mod tests {
                 ],
                 1..6,
             ),
+            payload_len in prop_oneof![
+                0usize..=300,
+                0usize..=300,
+                prop_oneof![Just(usize::MAX / 2), Just(usize::MAX)],
+            ],
         ) {
             let mut cfg = config();
             cfg.channelizer = ChannelizerConfig {
@@ -1635,7 +1634,9 @@ mod tests {
                 num_taps,
                 cutoff_hz: cutoff * wideband_rate_hz,
             };
+            cfg.payload_len = payload_len;
             if let Ok(mut gw) = Gateway::new(cfg) {
+                prop_assert!(payload_len <= MAX_PAYLOAD_LEN, "built a {payload_len} B gateway");
                 let sample = |i: usize| {
                     Cf32::new(values[i % values.len()], values[(i + 1) % values.len()])
                 };

@@ -8,7 +8,7 @@
 //! 1. **decoder effort** — the iterative re-decode passes and wide
 //!    disambiguation searches only improve accuracy inside collisions;
 //!    under overload a fast mediocre decoder beats a slow perfect one
-//!    that never sees half the samples ([`cic::CicConfig::effort_rung`]);
+//!    that never sees half the samples (`rung_config`);
 //! 2. **whole spreading factors** — dropping the highest SF sacrifices
 //!    the fewest packets per CPU-second reclaimed (its frames are the
 //!    longest, so it carries the smallest fraction of the offered packet
@@ -35,9 +35,19 @@
 
 use std::time::Duration;
 
+use cic::CicConfig;
+
+/// Highest effort rung at which [`rung_config`] still lowers decoder
+/// effort; beyond this, the only remaining degradation is shedding work
+/// entirely.
+pub(crate) const MAX_EFFORT_RUNG: usize = 2;
+
+/// Never shed below this many active spreading factors.
+const MIN_ACTIVE_SFS: usize = 1;
+
 /// Effort rung meaning "worker is shed": the worker discards its chunks
 /// (counted) instead of decoding them. Distinct from every effort rung
-/// [`cic::CicConfig::effort_rung`] understands.
+/// [`rung_config`] understands.
 pub(crate) const SHED_RUNG: usize = usize::MAX;
 
 /// Boost rung *above* full effort: the worker runs the full-effort CIC
@@ -48,8 +58,33 @@ pub(crate) const SHED_RUNG: usize = usize::MAX;
 /// (the gateway sets it when its base CIC configuration has a SIC stage)
 /// after the whole gateway has been cool for a sustained period, and it
 /// is the first thing given back when the worker runs hot. Distinct from
-/// every rung [`cic::CicConfig::effort_rung`] understands.
+/// every effort rung, all of which run without the SIC stage.
 pub const SIC_RUNG: usize = usize::MAX - 1;
+
+/// The decoder configuration a stream runs at `rung`, derived from the
+/// gateway's full-effort configuration `base`. [`SIC_RUNG`] runs `base`
+/// unchanged, residual cancellation as configured. Every effort rung
+/// runs without the SIC stage, so the ladder alone decides when the
+/// gateway spends headroom on residual passes: rung 0 is `base` at full
+/// effort; rung 1 also drops the iterative re-decode passes (they only
+/// help failed packets inside collisions); rung 2 also narrows the
+/// disambiguation search (fewer candidates, fewer SED windows). Rungs
+/// beyond [`MAX_EFFORT_RUNG`] clamp.
+pub(crate) fn rung_config(base: &CicConfig, rung: usize) -> CicConfig {
+    let mut c = base.clone();
+    if rung == SIC_RUNG {
+        return c;
+    }
+    c.sic.depth = 0;
+    if rung >= 1 {
+        c.decode_passes = 1;
+    }
+    if rung >= 2 {
+        c.max_candidates = c.max_candidates.min(4);
+        c.sed_windows = c.sed_windows.min(4);
+    }
+    c
+}
 
 /// How the gateway responds when decoders fall behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +118,6 @@ pub struct OverloadConfig {
     /// Consecutive all-cool ticks before an upward ladder step (the
     /// hysteresis: make this several times `escalate_ticks`).
     pub recover_ticks: u32,
-    /// Never shed below this many active spreading factors.
-    pub min_active_sfs: usize,
     /// How long a worker may sit idle before it publishes a caught-up
     /// watermark (see `Gateway` docs); shared here because it is part of
     /// the same liveness/overload control plane.
@@ -110,7 +143,6 @@ impl Default for OverloadConfig {
             ewma_alpha: 0.35,
             escalate_ticks: 3,
             recover_ticks: 25,
-            min_active_sfs: 1,
             idle_timeout: Duration::from_millis(500),
             hot_decode: Duration::from_secs(1),
         }
@@ -202,7 +234,7 @@ impl LoadMonitor {
 /// One transition the controller wants applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ControlAction {
-    /// Set a worker's effort rung (`0..=cic::CicConfig::MAX_EFFORT_RUNG`).
+    /// Set a worker's effort rung (`0..=MAX_EFFORT_RUNG`, or [`SIC_RUNG`]).
     /// `degrade` is true when this is a downward step.
     SetRung {
         /// Worker index.
@@ -239,7 +271,6 @@ pub(crate) struct OverloadController {
     rungs: Vec<usize>,
     /// Shed SFs, in shed order (highest first), for reverse recovery.
     shed_stack: Vec<u8>,
-    max_rung: usize,
     /// Whether recovery may promote rung-0 workers to [`SIC_RUNG`].
     sic_boost: bool,
 }
@@ -262,7 +293,6 @@ impl OverloadController {
             sfs: worker_sfs.to_vec(),
             rungs: vec![0; worker_sfs.len()],
             shed_stack: Vec::new(),
-            max_rung: cic::CicConfig::MAX_EFFORT_RUNG,
             sic_boost,
         }
     }
@@ -333,7 +363,7 @@ impl OverloadController {
                     rung: 0,
                     degrade: true,
                 });
-            } else if self.rungs[w] < self.max_rung {
+            } else if self.rungs[w] < MAX_EFFORT_RUNG {
                 self.rungs[w] += 1;
                 self.monitor.reset_streaks(w);
                 actions.push(ControlAction::SetRung {
@@ -348,8 +378,7 @@ impl OverloadController {
 
         // 2. Shed the highest active SF when effort reduction is spent
         //    somewhere and there is an SF to spare.
-        if actions.is_empty() && exhausted_hot && self.active_sfs().len() > self.cfg.min_active_sfs
-        {
+        if actions.is_empty() && exhausted_hot && self.active_sfs().len() > MIN_ACTIVE_SFS {
             let sf = *self.active_sfs().last().expect("active SFs non-empty");
             let workers = self.workers_of(sf);
             for &w in &workers {
@@ -375,7 +404,7 @@ impl OverloadController {
                 let workers = self.workers_of(sf);
                 for &w in &workers {
                     // Resume at the lowest effort and walk back up.
-                    self.rungs[w] = self.max_rung;
+                    self.rungs[w] = MAX_EFFORT_RUNG;
                 }
                 for w in 0..self.sfs.len() {
                     self.monitor.reset_streaks(w);
@@ -495,7 +524,7 @@ mod tests {
         }
         assert_eq!(c.active_sfs(), vec![7]);
         assert_eq!(c.rungs[1], SHED_RUNG);
-        // min_active_sfs = 1: SF7 must never be shed, however hot.
+        // MIN_ACTIVE_SFS = 1: SF7 must never be shed, however hot.
         let a = tick_n(&mut c, &full, 8, 50);
         assert!(a.iter().all(|x| !matches!(x, ControlAction::Shed { .. })));
         assert_eq!(c.active_sfs(), vec![7]);
@@ -516,7 +545,7 @@ mod tests {
             }
             other => panic!("expected restore, got {other:?}"),
         }
-        assert_eq!(c.rungs[1], cic::CicConfig::MAX_EFFORT_RUNG);
+        assert_eq!(c.rungs[1], MAX_EFFORT_RUNG);
         // …then effort climbs back one rung per cool period, all the way
         // to full effort for everyone.
         let a = tick_n(&mut c, &[0, 0, 0, 0], 8, 20);
@@ -667,6 +696,51 @@ mod tests {
             assert!(c.tick_with_decode(&[0, 0, 0, 0], &[], 8).is_empty());
         }
         assert!((0..4).all(|w| c.rungs[w] == 0));
+    }
+
+    #[test]
+    fn rung_configs_cut_effort_and_only_the_boost_runs_sic() {
+        for sic in [cic::SicConfig::default(), cic::SicConfig::hybrid()] {
+            let base = CicConfig {
+                sic,
+                ..CicConfig::default()
+            };
+            let full = CicConfig {
+                sic: cic::SicConfig {
+                    depth: 0,
+                    ..base.sic.clone()
+                },
+                ..base.clone()
+            };
+            let lowest = CicConfig {
+                decode_passes: 1,
+                max_candidates: 4,
+                sed_windows: 4,
+                ..full.clone()
+            };
+            let table = [
+                (0, full.clone()),
+                (
+                    1,
+                    CicConfig {
+                        decode_passes: 1,
+                        ..full.clone()
+                    },
+                ),
+                (2, lowest.clone()),
+                (3, lowest),
+                (SIC_RUNG, base.clone()),
+            ];
+            for (rung, want) in table {
+                let got = rung_config(&base, rung);
+                assert_eq!(got, want, "rung {rung}, base SIC depth {}", base.sic.depth);
+                assert_eq!(
+                    got.sic.enabled(),
+                    rung == SIC_RUNG && base.sic.enabled(),
+                    "rung {rung}: only the boost rung runs SIC"
+                );
+            }
+        }
     }
 
     #[test]

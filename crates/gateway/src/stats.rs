@@ -10,21 +10,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::load::{SHED_RUNG, SIC_RUNG};
+use crate::load::{MAX_EFFORT_RUNG, SHED_RUNG, SIC_RUNG};
 
 /// Number of ladder-engagement counter slots: one per CIC effort rung
 /// (`0..=MAX_EFFORT_RUNG`), plus the SIC boost rung, plus the shed
 /// pseudo-rung.
-pub(crate) const RUNG_SLOTS: usize = cic::CicConfig::MAX_EFFORT_RUNG + 3;
+pub(crate) const RUNG_SLOTS: usize = MAX_EFFORT_RUNG + 3;
 
 /// Map an effort rung (including [`SIC_RUNG`] and `SHED_RUNG`) to its
 /// engagement-counter slot: effort rungs occupy `0..=MAX_EFFORT_RUNG`,
 /// then the SIC boost rung, then shed.
 pub fn rung_slot(rung: usize) -> usize {
     match rung {
-        SHED_RUNG => cic::CicConfig::MAX_EFFORT_RUNG + 2,
-        SIC_RUNG => cic::CicConfig::MAX_EFFORT_RUNG + 1,
-        r => r.min(cic::CicConfig::MAX_EFFORT_RUNG),
+        SHED_RUNG => MAX_EFFORT_RUNG + 2,
+        SIC_RUNG => MAX_EFFORT_RUNG + 1,
+        r => r.min(MAX_EFFORT_RUNG),
     }
 }
 

@@ -611,7 +611,6 @@ fn adaptive_policy_beats_drop_oldest_under_overload() {
         // Effectively no recovery inside this short run: the point here
         // is the downward ladder, not flapping.
         recover_ticks: 100_000,
-        min_active_sfs: 1,
         idle_timeout: Duration::from_secs(600),
         hot_decode: Duration::from_secs(1),
     };
